@@ -28,8 +28,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetExceeded, ConvergenceGuard, RankDeficient
-from .intmat import bareiss_det, integer_kernel, mat_mul, mat_transpose, minors_gcd
-from .lattice import GramLattice, canonical_columns, vectors_of_norm
+from .intmat import (
+    PAIR_SLICE,
+    bareiss_det,
+    int64_fits,
+    integer_kernel,
+    mat_mul,
+    mat_transpose,
+    max_abs,
+    rank2_column_hnf,
+)
+from .lattice import GramLattice, vectors_of_norm
 from .majorant import base_majorant, majorant_at
 from .orthogroup import OrthElement, Space, TubePoint
 
@@ -112,32 +121,9 @@ def _index_sublattices(D: int):
     return out
 
 
-def _fiber_estimate(space: Space, pq) -> float:
-    """Volume-based size estimate of the psi fiber over pq."""
-    L = space.L
-    p, q = pq
-    bound = p * p + q * q
-    est = 0.0
-    ulim = math.isqrt(bound)
-    for u in range(-ulim, ulim + 1):
-        if (u - p) % 2:
-            continue
-        wlim = math.isqrt(bound - u * u)
-        for w in range(-wlim, wlim + 1):
-            if (w - q) % 2:
-                continue
-            est += _ball_estimate(L, (bound - u * u - w * w) // 2)
-    return est
-
-
-def _fiber(space: Space, pq, cap: int):
-    """All S1-isotropic integer vectors v with psi(v) = pq.
-
-    Parameterized by u = a - b, w = c - d (parity fixed by pq) and lattice
-    vectors of norm t = (|pq|^2 - u^2 - w^2) / 2; the construction makes
-    S1[v] = 0 automatic.
-    """
-    L = space.L
+def _fiber_plan(space: Space, pq):
+    """The (u, w, t) shells of the psi fiber over pq, with a volume-based
+    estimate of its size."""
     p, q = pq
     bound = p * p + q * q
     plan = []
@@ -152,7 +138,20 @@ def _fiber(space: Space, pq, cap: int):
                 continue
             t = (bound - u * u - w * w) // 2
             plan.append((u, w, t))
-            est += _ball_estimate(L, t)
+            est += _ball_estimate(space.L, t)
+    return plan, est
+
+
+def _fiber(space: Space, pq, cap: int):
+    """All S1-isotropic integer vectors v with psi(v) = pq.
+
+    Parameterized by u = a - b, w = c - d (parity fixed by pq) and lattice
+    vectors of norm t = (|pq|^2 - u^2 - w^2) / 2; the construction makes
+    S1[v] = 0 automatic.
+    """
+    L = space.L
+    p, q = pq
+    plan, est = _fiber_plan(space, pq)
     if est > 3.0 * cap:
         raise BudgetExceeded(
             f"estimated fiber size {est:.2e} for psi-image {pq} "
@@ -171,6 +170,29 @@ def _fiber(space: Space, pq, cap: int):
     return out
 
 
+def _add_classes(found: dict, V, W, det, primitive_only: bool):
+    """Canonicalise the candidate pairs (V[i], W[i]) in slices and record
+    each new class with its determinant det[i], first occurrence first.
+    Pairs of rank below 2 are dropped, and imprimitive ones when asked."""
+    for lo in range(0, V.shape[0], PAIR_SLICE):
+        g, H = rank2_column_hnf(V[lo:lo + PAIR_SLICE], W[lo:lo + PAIR_SLICE])
+        keep = g == 1 if primitive_only else g != 0
+        H = H[keep]
+        for col0, col1, d in zip(H[:, :, 0].tolist(), H[:, :, 1].tolist(),
+                                 det[lo:lo + PAIR_SLICE][keep].tolist()):
+            key = tuple(zip(col0, col1))
+            if key not in found:
+                found[key] = d
+
+
+def _s1_dtype(space: Space, A, B):
+    """int64 when no S1 pairing of a row of A with a row of B, nor any
+    partial sum of one, can overflow it; python ints otherwise."""
+    m = space.dim + 2
+    bound = m * m * max_abs(space.S1_int) * max_abs(A) * max_abs(B)
+    return np.int64 if int64_fits(bound) else object
+
+
 _base_class_cache: dict = {}
 
 
@@ -182,13 +204,12 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     hit = _base_class_cache.get(key)
     if hit is not None:
         return dict(hit)
-    m = space.dim + 2
-    S1 = np.array(space.S1_int, dtype=np.int64)
     # cheap whole-run feasibility scan before any fiber is built
     est_total = 0.0
     for D in range(1, Dmax + 1):
         for pvec, rvec in _index_sublattices(D):
-            est_total += _fiber_estimate(space, pvec) * _fiber_estimate(space, rvec)
+            est_total += (_fiber_plan(space, pvec)[1]
+                          * _fiber_plan(space, rvec)[1])
     if est_total > 3.0 * cap:
         raise BudgetExceeded(
             f"estimated candidate pair count {est_total:.2e} over image "
@@ -207,20 +228,18 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
                     pair_budget, cap)
             A1 = np.array(F1, dtype=np.int64)
             A2 = np.array(F2, dtype=np.int64)
-            right = S1 @ A2.T
+            dt = _s1_dtype(space, A1, A2)
+            right = (np.array(space.S1_int, dtype=dt)
+                     @ A2.T.astype(dt, copy=False))
             chunk = max(1, 4_000_000 // max(1, A2.shape[0]))
             for lo in range(0, A1.shape[0], chunk):
-                block = A1[lo:lo + chunk] @ right
-                for i, j in np.argwhere(block == 0):
-                    v = F1[lo + i]
-                    w = F2[j]
-                    rows = [(v[r], w[r]) for r in range(m)]
-                    if primitive_only and minors_gcd(rows, 2) != 1:
-                        continue
-                    canon = canonical_columns(rows)
-                    ckey = tuple(tuple(r) for r in canon)
-                    if ckey not in found:
-                        found[ckey] = float(D * D)
+                block = A1[lo:lo + chunk].astype(dt, copy=False) @ right
+                i, j = np.nonzero(block == 0)
+                for s in range(0, i.size, PAIR_SLICE):
+                    ii, jj = lo + i[s:s + PAIR_SLICE], j[s:s + PAIR_SLICE]
+                    _add_classes(found, A1[ii], A2[jj],
+                                 np.full(ii.size, float(D * D)),
+                                 primitive_only)
     _base_class_cache[key] = dict(found)
     return found
 
@@ -289,18 +308,19 @@ def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return U
 
 
-def ellipsoid_points(Q: np.ndarray, T: float, cap: int) -> np.ndarray:
+def ellipsoid_points(Q: np.ndarray, T: float, cap: int,
+                     spent: int = 0) -> np.ndarray:
     """All nonzero integer v with Q[v] <= T (tiny boundary slack), as an
     int64 array; LLL-preconditioned layered Fincke-Pohst, budget-guarded
-    per level."""
-    m = Q.shape[0]
+    per level against the cap - spent candidates left of the cap."""
     Ured = _lll_gram(Q)
     Qred = Ured.T @ Q @ Ured
-    pts = _fp_points(Qred, T, cap)
+    pts = _fp_points(Qred, T, cap, spent)
     return pts @ Ured.T
 
 
-def _fp_points(Q: np.ndarray, T: float, cap: int) -> np.ndarray:
+def _fp_points(Q: np.ndarray, T: float, cap: int,
+               spent: int = 0) -> np.ndarray:
     m = Q.shape[0]
     U = _cholesky_upper(Q)
     tol = 1e-9 * max(T, 1.0)
@@ -316,9 +336,10 @@ def _fp_points(Q: np.ndarray, T: float, cap: int) -> np.ndarray:
         hi = np.floor(cen + rad + 1e-12).astype(np.int64)
         counts = np.maximum(hi - lo + 1, 0)
         total = int(counts.sum())
-        if total > cap:
+        if total > cap - spent:
             raise BudgetExceeded(
-                f"enumeration layer {i} holds {total} candidates", total, cap)
+                f"enumeration layer {i} holds {total} candidates, more than "
+                f"the {cap - spent} left of the cap {cap}", total, cap)
         if total == 0:
             return np.zeros((0, m), dtype=np.int64)
         idx = np.repeat(np.arange(len(counts)), counts)
@@ -336,8 +357,16 @@ def _fp_points(Q: np.ndarray, T: float, cap: int) -> np.ndarray:
 
 
 def _isotropy_mask(space: Space, V: np.ndarray) -> np.ndarray:
-    S1 = np.array(space.S1_int, dtype=np.int64)
-    return np.einsum("ij,jk,ik->i", V, S1, V) == 0
+    """S1[v] == 0 for each row v of V, exactly (python ints when the int64
+    sums could overflow).  Rows go in slices, so the products need no more
+    memory than one slice however many candidates there are."""
+    dt = _s1_dtype(space, V, V)
+    S1 = np.array(space.S1_int, dtype=dt)
+    out = np.empty(V.shape[0], dtype=bool)
+    for lo in range(0, V.shape[0], PAIR_SLICE):
+        Vs = V[lo:lo + PAIR_SLICE].astype(dt, copy=False)
+        out[lo:lo + PAIR_SLICE] = ((Vs @ S1) * Vs).sum(axis=1) == 0
+    return out
 
 
 def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
@@ -360,14 +389,17 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
     S1_rows = space.S1_int
     found: dict = {}
     spent = 0
+    # (l, partner, det2) rows waiting for the canonicaliser, in order
+    pending, waiting = [], 0
     for l in reps:
-        Rl = float(np.array(l) @ R @ np.array(l))
+        lv = np.array(l, dtype=np.int64)
+        Rl = float(lv @ R @ lv)
         B2 = (4.0 / 3.0) * B / max(Rl, 1e-300) * (1.0 + REL_EPS)
         row = [[sum(S1_rows[i][j] * l[i] for i in range(m)) for j in range(m)]]
         kern = integer_kernel(row)
         W = np.array(kern, dtype=np.int64).T  # columns span the kernel
         Qk = W.T @ R @ W
-        ys = ellipsoid_points(Qk, B2, cap - spent)
+        ys = ellipsoid_points(Qk, B2, cap, spent)
         spent += ys.shape[0]
         if spent > cap:
             raise BudgetExceeded("partner enumeration exceeded cap", spent, cap)
@@ -375,24 +407,23 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
             continue
         cands = ys @ W.T
         cands = cands[_isotropy_mask(space, cands)]
-        lv = np.array(l, dtype=np.int64)
-        Rlv = R @ lv
-        for v in cands:
-            rows = [(int(l[r]), int(v[r])) for r in range(m)]
-            g2 = minors_gcd(rows, 2)
-            if g2 == 0:
-                continue  # parallel to l
-            if primitive_only and g2 != 1:
-                continue
-            Rvv = float(v @ R @ v)
-            Rlm = float(v @ Rlv)
-            det2 = Rl * Rvv - Rlm * Rlm
-            if det2 > limit:
-                continue
-            canon = canonical_columns(rows)
-            ckey = tuple(tuple(r) for r in canon)
-            if ckey not in found:
-                found[ckey] = det2
+        # stacked (1, m) products round exactly as one vector at a time
+        # does, so classes of equal determinant keep their sorted order
+        Cf = cands.astype(float)[:, None, :]
+        Rlm = (Cf @ (R @ lv)[:, None])[:, 0, 0]
+        det2 = Rl * (Cf @ R @ Cf.transpose(0, 2, 1))[:, 0, 0] - Rlm * Rlm
+        ok = det2 <= limit
+        partners = cands[ok]
+        pending.append((np.broadcast_to(lv, partners.shape), partners,
+                        det2[ok]))
+        waiting += partners.shape[0]
+        if waiting >= PAIR_SLICE:
+            _add_classes(found, *map(np.concatenate, zip(*pending)),
+                         primitive_only)
+            pending, waiting = [], 0
+    if pending:
+        _add_classes(found, *map(np.concatenate, zip(*pending)),
+                     primitive_only)
     return found
 
 
@@ -417,8 +448,15 @@ def enumerate_isotropic_classes(space: Space, R: np.ndarray, B: float,
 
 
 def canonical_class(ell) -> list:
-    """Canonical representative of the right-GL2(Z) class of ell."""
-    return canonical_columns(ell)
+    """Canonical representative (column Hermite form) of the right-GL2(Z)
+    class of an m x 2 integer matrix of rank 2."""
+    A = np.array([[int(x) for x in row] for row in ell], dtype=object)
+    if A.ndim != 2 or A.shape[1] != 2:
+        raise ValueError("expected an m x 2 integer matrix")
+    g, H = rank2_column_hnf(A[None, :, 0], A[None, :, 1])
+    if g[0] == 0:
+        raise RankDeficient("matrix has rank below 2")
+    return H[0].tolist()
 
 
 def class_value(classes, s: complex) -> complex:
@@ -438,15 +476,20 @@ def transport_classes(space: Space, classes, g: OrthElement,
     if not g.exact:
         raise ValueError("transport requires an exact integral element")
     m = space.dim + 2
-    gmat = [[int(x) for x in row] for row in g.mat]
+    ells = np.array([c.ell for c in classes], dtype=object).reshape(-1, m, 2)
+    dt = np.int64 if int64_fits(m * max_abs(g.mat) * max_abs(ells)) else object
+    moved = g.mat.astype(dt) @ ells.astype(dt)
     out = []
-    for c in classes:
-        moved = mat_mul(gmat, [list(r) for r in c.ell])
-        canon = canonical_columns(moved)
-        arr = np.array(canon, dtype=float)
-        gram = arr.T @ R_new @ arr
-        det2 = float(gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0])
-        out.append(IsotropicClass(ell=tuple(tuple(r) for r in canon), detR=det2))
+    for lo in range(0, moved.shape[0], PAIR_SLICE):
+        block = moved[lo:lo + PAIR_SLICE]
+        rank2, H = rank2_column_hnf(block[:, :, 0], block[:, :, 1])
+        if (rank2 == 0).any():
+            raise RankDeficient("a transported class has rank below 2")
+        Hf = H.astype(float)
+        gram = Hf.transpose(0, 2, 1) @ R_new @ Hf
+        det2 = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        out += [IsotropicClass(ell=tuple(map(tuple, rows)), detR=d)
+                for rows, d in zip(H.tolist(), det2.tolist())]
     out.sort(key=lambda c: (c.detR, c.ell))
     return out
 
@@ -515,8 +558,7 @@ def imprimitive_factorization_check(ell):
     and M an integer 2x2 matrix of nonzero determinant."""
     rows = [[int(x) for x in row] for row in ell]
     m = len(rows)
-    if minors_gcd(rows, 2) == 0:
-        raise RankDeficient("matrix does not have rank 2")
+    canonical_class(rows)  # raises RankDeficient below rank 2
     ortho = integer_kernel(mat_transpose(rows))  # vectors x with ell^t x = 0
     if ortho:
         # each orthogonal vector is one linear constraint on the saturation
@@ -524,7 +566,7 @@ def imprimitive_factorization_check(ell):
     else:
         sat_cols = [[int(i == j) for i in range(m)] for j in range(2)]
     N0 = mat_transpose(sat_cols)  # m x 2
-    N = canonical_columns(N0)
+    N = canonical_class(N0)
     piv = None
     for i in range(m):
         for j in range(i + 1, m):

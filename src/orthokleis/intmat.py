@@ -1,14 +1,28 @@
 """Exact integer and rational matrix utilities.
 
-Everything here works on plain nested tuples/lists of python ints (or
-Fractions where stated) so results are exact regardless of size.  numpy only
-appears downstream, for float paths.
+The single-matrix functions work on plain nested tuples/lists of python
+ints (or Fractions where stated), so results are exact regardless of size.
+
+`rank2_column_hnf` is the batched exception: it canonicalises a whole
+stack of integer m x 2 matrices with int64 numpy arithmetic (all 2 x 2
+minors folded into one gcd, then a two-row Hermite form by extended
+Euclid).  int64 is used only under a headroom rule: every intermediate
+value is bounded in advance from the largest |entry| of the input (see
+`int64_fits`), and a batch that could overflow goes through the exact
+python path instead.  Nothing wraps silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
+
+INT64_MAX = 2**63 - 1
+# candidate pairs per rank2_column_hnf call in the enumerators: keeps the
+# kernel's int64 working set at a few MB however many pairs there are
+PAIR_SLICE = 8192
 
 
 def mat_copy(M):
@@ -263,3 +277,103 @@ def minors_gcd(M, k: int) -> int:
             if g == 1:
                 return 1
     return g
+
+
+# ------------------------------------------------- batched rank-2 kernel
+
+def max_abs(A) -> int:
+    """Largest |entry| of an integer array (int64 or python ints); 0 when
+    the array is empty."""
+    A = np.asarray(A)
+    if A.size == 0:
+        return 0
+    return max(int(A.max()), -int(A.min()))
+
+
+def int64_fits(bound: int) -> bool:
+    """True when a value bounded by `bound` in absolute value is an int64."""
+    return bound <= INT64_MAX
+
+
+def _xgcd(x, y):
+    """(g, s, t) with s x + t y = g = gcd(x, y) > 0, elementwise over int64
+    arrays with (x, y) never both zero.  Euclid runs masked over the batch;
+    |s| <= max(|x|, |y|) and |t| <= max(|x|, |y|) throughout."""
+    r0, r1 = x.copy(), y.copy()
+    s0, s1 = np.ones_like(x), np.zeros_like(x)
+    t0, t1 = np.zeros_like(x), np.ones_like(x)
+    act = np.flatnonzero(r1)
+    while act.size:
+        a0, a1 = r0[act], r1[act]
+        q = a0 // a1
+        r0[act], r1[act] = a1, a0 - q * a1
+        b0, b1 = s0[act], s1[act]
+        s0[act], s1[act] = b1, b0 - q * b1
+        c0, c1 = t0[act], t1[act]
+        t0[act], t1[act] = c1, c0 - q * c1
+        act = act[r1[act] != 0]
+    sign = np.where(r0 < 0, -1, 1)
+    return r0 * sign, s0 * sign, t0 * sign
+
+
+def _rank2_hnf_exact(V, W):
+    """The python-int path of rank2_column_hnf: minors_gcd plus column_hnf
+    per candidate, with object arrays for results of any size."""
+    k, m = V.shape
+    g = np.zeros(k, dtype=object)
+    H = np.zeros((k, m, 2), dtype=object)
+    for i in range(k):
+        rows = [[int(v), int(w)] for v, w in zip(V[i], W[i])]
+        g[i] = minors_gcd(rows, 2)
+        if g[i]:
+            H[i] = column_hnf(rows)
+    return g, H
+
+
+def rank2_column_hnf(V, W):
+    """Batched minors gcd and column Hermite form of k integer m x 2
+    matrices whose columns are the rows of V and W (both (k, m)).
+
+    Returns (g, H): g[i] is the gcd of all 2 x 2 minors of candidate i
+    (0 when its rank is below 2, 1 when it is primitive), and H[i] is its
+    column Hermite form, equal to column_hnf, for every rank-2 candidate
+    (zeros otherwise).  Read as rows, H[i].T is the row Hermite form of
+    the 2 x m matrix [V[i]; W[i]].
+
+    int64 runs only when every intermediate fits: minors and the Bezout
+    combinations are bounded by 2 M^2 and the final reduction product by
+    4 M^4, M the largest |entry|.  Otherwise the exact python path runs
+    and g, H come back as object arrays of python ints.
+    """
+    V = np.asarray(V)
+    W = np.asarray(W)
+    k, m = V.shape
+    M = max(max_abs(V), max_abs(W))
+    if not int64_fits(4 * M**4 + 2 * M**2):
+        return _rank2_hnf_exact(V, W)
+    V = V.astype(np.int64)
+    W = W.astype(np.int64)
+    # gcd of the minors, accumulated one column against all later ones
+    g = np.zeros(k, dtype=np.int64)
+    for i in range(m - 1):
+        minors = V[:, i, None] * W[:, i + 1:] - W[:, i, None] * V[:, i + 1:]
+        g = np.gcd(g, np.gcd.reduce(minors, axis=1))
+    H = np.zeros((k, m, 2), dtype=np.int64)
+    full = np.flatnonzero(g)
+    if full.size == 0:
+        return g, H
+    a, b = V[full], W[full]
+    r = np.arange(full.size)
+    # first pivot: gcd of the first nonzero column, by extended Euclid
+    c1 = ((a != 0) | (b != 0)).argmax(axis=1)
+    x, y = a[r, c1], b[r, c1]
+    g1, s, t = _xgcd(x, y)
+    row0 = s[:, None] * a + t[:, None] * b
+    row1 = (x // g1)[:, None] * b - (y // g1)[:, None] * a
+    # second pivot made positive, then row0 reduced into [0, pivot) there
+    c2 = (row1 != 0).argmax(axis=1)
+    row1 *= np.where(row1[r, c2] < 0, -1, 1)[:, None]
+    row0 -= (row0[r, c2] // row1[r, c2])[:, None] * row1
+    H[full, :, 0] = row0
+    H[full, :, 1] = row1
+    return g, H

@@ -30,7 +30,7 @@ from .errors import (
     XDependentInput,
 )
 from .exppoly import ExpPoly, PiPoly
-from .intmat import minors_gcd, row_hnf_transform
+from .intmat import PAIR_SLICE, minors_gcd, rank2_column_hnf, row_hnf_transform
 from .majorant import base_majorant
 from .orthogroup import Space
 
@@ -352,6 +352,8 @@ def one_dim_annihilation(n: int) -> dict:
 # ------------------------------------- degenerate series over (C, D) pairs
 
 def _coprime_symmetric(C, D) -> bool:
+    """Single-pair reference form of the test siegel_coset_reps runs in
+    batches."""
     CDt = [
         [sum(C[i][k] * D[j][k] for k in range(2)) for j in range(2)]
         for i in range(2)
@@ -363,9 +365,25 @@ def _coprime_symmetric(C, D) -> bool:
 
 
 def _canonical_pair(C, D):
+    """Single-pair reference form of the canonical key siegel_coset_reps
+    and translate_coset_classes compute in batches."""
     stacked = [list(C[0]) + list(D[0]), list(C[1]) + list(D[1])]
     H, _ = row_hnf_transform(stacked)
     return tuple(tuple(row) for row in H)
+
+
+def _canonical_pairs(X):
+    """Batched _canonical_pair.  Each row of the (k, 8) array X is a pair
+    laid out as [C0 | D0 | C1 | D1], the two rows of the stacked matrix
+    [C | D].  Returns (g, Y): the gcd of the 2 x 2 minors of each [C | D]
+    (1 for a coprime pair) and its row Hermite form in the same layout."""
+    g, H = rank2_column_hnf(X[:, :4], X[:, 4:])
+    return g, H.transpose(0, 2, 1).reshape(-1, 8)
+
+
+def _as_pair(y):
+    """((C0, C1), (D0, D1)) from a row laid out as [C0 | D0 | C1 | D1]."""
+    return ((y[0], y[1]), (y[4], y[5])), ((y[2], y[3]), (y[6], y[7]))
 
 
 def siegel_coset_reps(B: int):
@@ -377,21 +395,20 @@ def siegel_coset_reps(B: int):
     matrix utilities (positive pivots, entries above reduced)."""
     if B < 0:
         raise ValueError("entry bound must be nonnegative")
-    rng = range(-B, B + 1)
-    seen = {}
-    for c_entries in itertools.product(rng, repeat=4):
-        C = ((c_entries[0], c_entries[1]), (c_entries[2], c_entries[3]))
-        for d_entries in itertools.product(rng, repeat=4):
-            D = ((d_entries[0], d_entries[1]), (d_entries[2], d_entries[3]))
-            if not _coprime_symmetric(C, D):
-                continue
-            key = _canonical_pair(C, D)
-            if key not in seen:
-                seen[key] = (
-                    (key[0][:2], key[1][:2]),
-                    (key[0][2:], key[1][2:]),
-                )
-    return sorted(seen.values())
+    # every 2 x 2 block, entries in row order (x00, x01, x10, x11)
+    blocks = np.array(list(itertools.product(range(-B, B + 1), repeat=4)),
+                      dtype=np.int64)
+    step = max(1, PAIR_SLICE // len(blocks))
+    seen = set()
+    for lo in range(0, len(blocks), step):
+        C = blocks[lo:lo + step]
+        # symmetric: (C D^t)_01 = C0 . D1 equals (C D^t)_10 = C1 . D0
+        i, j = np.nonzero(C[:, :2] @ blocks[:, 2:].T
+                          == C[:, 2:] @ blocks[:, :2].T)
+        g, Y = _canonical_pairs(np.column_stack(
+            [C[i, :2], blocks[j, :2], C[i, 2:], blocks[j, 2:]]))
+        seen.update(map(tuple, Y[g == 1].tolist()))
+    return sorted(_as_pair(y) for y in seen)
 
 
 def translate_coset_classes(classes, T):
@@ -400,18 +417,15 @@ def translate_coset_classes(classes, T):
     T = [[int(T[0][0]), int(T[0][1])], [int(T[1][0]), int(T[1][1])]]
     if T[0][1] != T[1][0]:
         raise ValueError("translation block must be symmetric")
-    out = []
-    for C, D in classes:
-        CT = [
-            [sum(C[i][k] * T[k][j] for k in range(2)) for j in range(2)]
-            for i in range(2)
-        ]
-        D2 = tuple(
-            tuple(D[i][j] + CT[i][j] for j in range(2)) for i in range(2)
-        )
-        key = _canonical_pair(C, D2)
-        out.append(((key[0][:2], key[1][:2]), (key[0][2:], key[1][2:])))
-    return sorted(out)
+    X = np.array([[*C[0], *D[0], *C[1], *D[1]] for C, D in classes],
+                 dtype=object).reshape(-1, 8)
+    T = np.array(T, dtype=object)
+    X[:, 2:4] += X[:, 0:2] @ T  # row i of D gains row i of C T
+    X[:, 6:8] += X[:, 4:6] @ T
+    g, Y = _canonical_pairs(X)
+    if (g == 0).any():
+        raise ValueError("a pair (C, D) has rank below 2")
+    return sorted(_as_pair(y) for y in Y.tolist())
 
 
 def siegel_value_over(classes, Z: SiegelPoint, s: complex) -> complex:

@@ -300,3 +300,53 @@ def test_ellipsoid_points_against_lattice_enumeration(sp_a2):
 def test_ellipsoid_budget_guard():
     with pytest.raises(BudgetExceeded):
         ellipsoid_points(np.eye(2), 1e9, 1000)
+
+
+def test_partner_budget_refusal_names_remaining_and_cap(sp_a2):
+    # the partner stage runs after earlier partners have spent part of the
+    # cap; the refusal says how much was left and what the cap was
+    import re
+
+    from orthokleis.orthogroup import translation
+
+    R = majorant_at(sp_a2, act(translation(sp_a2, [1, 0, 1, 0]),
+                               sp_a2.base_point()))
+    with pytest.raises(BudgetExceeded) as ei:
+        enumerate_isotropic_classes(sp_a2, R, 100, cap=5000)
+    msg = str(ei.value)
+    found = re.search(r"holds (\d+) candidates, more than the (\d+) left "
+                      r"of the cap (\d+)", msg)
+    assert found, msg
+    count, left, cap = map(int, found.groups())
+    assert (count, cap) == (ei.value.count, ei.value.cap)
+    assert cap == 5000 and 0 < left < cap and count > left
+
+
+def test_int64_guard_takes_exact_path_for_large_gram(tmp_path):
+    # with a Gram entry of 2^60 an int64 S1 product has no headroom: 2^60 x^2
+    # wraps to 0 at x = 4.  The isotropy test and the base-point pairing
+    # must run on python ints and agree with exact arithmetic.
+    from orthokleis.eisenstein import _isotropy_mask, _s1_dtype
+
+    spaces = {}
+    for e in (40, 60):
+        path = tmp_path / f"big{e}.gram"
+        path.write_text(f"1\n{2 ** e}\n")
+        spaces[e] = space_for(load_gram(str(path)))
+    sp = spaces[60]
+    ones = np.ones((1, 5), dtype=np.int64)
+    assert _s1_dtype(sp, ones, ones) is object
+    assert _s1_dtype(spaces[40], ones, ones) is np.int64
+    V = np.array([[0, 0, 4, 0, 0], [1, 0, 0, 0, 0], [1, 1, 0, -1, 1],
+                  [1, 1, 0, 0, 1], [0, 3, 0, 0, 5]], dtype=np.int64)
+    S1 = sp.S1_int
+    exact = [sum(S1[i][j] * v[i] * v[j] for i in range(5) for j in range(5)) == 0
+             for v in V.tolist()]
+    assert exact == [False, True, True, False, True]
+    assert _isotropy_mask(sp, V).tolist() == exact
+    # below B = 2^40 no class involves the lattice coordinate, so the exact
+    # path at 2^60 must reproduce the int64 path at 2^40 class for class
+    got = enumerate_isotropic_classes(sp, base_majorant(sp), 9.0)
+    ref = enumerate_isotropic_classes(spaces[40], base_majorant(spaces[40]), 9.0)
+    assert [(c.ell, c.detR) for c in got] == [(c.ell, c.detR) for c in ref]
+    assert len(got) > 0
