@@ -89,7 +89,7 @@ from .siegelops import (
     siegel_eisenstein_truncated,
     theta_term_symbol,
 )
-from .theta import ThetaQuery, tail_bound, theta_term_count, theta_truncated
+from .theta import ThetaQuery, tail_bound, theta_report, theta_truncated
 
 COMMANDS = ("report", "eisenstein", "theta", "siegel", "completed", "verify")
 
@@ -205,22 +205,22 @@ def cmd_eval_eisenstein(space, s_grid, B: float) -> list[dict]:
 def cmd_eval_theta(space, B: float) -> list[dict]:
     Z = 2j * np.eye(2)
     W = space.base_point()
-    R = majorant_at(space, W)
-    q1 = ThetaQuery(space, Z, W, B)
-    q2 = ThetaQuery(space, Z, W, 2 * B)
-    v1 = theta_truncated(q1)
-    v2 = theta_truncated(q2)
-    bound = tail_bound(B, Z.imag, R)
+    rep = theta_report(ThetaQuery(space, Z, W, B))
+    v1 = complex(*rep["value"])
+    v2 = theta_truncated(ThetaQuery(space, Z, W, 2 * B))
+    bound = rep["tail_bound"]
     return [{
         "index": 1,
         "B": float(B),
         "value": _pair(v1),
-        "terms": theta_term_count(q1),
+        "terms": rep["classes"] - 1,
         "tail_bound": bound,
         "refined_B": float(2 * B),
         "refined_value": _pair(v2),
         "refinement_delta": abs(v1 - v2),
         "within_tail": bool(abs(v1 - v2) <= bound),
+        # by the triangle inequality no pair of values can exceed it
+        "tail_vacuous": bool(bound >= abs(v1) + abs(v2)),
     }]
 
 
@@ -408,11 +408,11 @@ def p_theta_invariance(ctx):
     for _ in range(2):
         W = random_point(space, rng)
         g = random_word(space, rng, length=4)
-        q1 = ThetaQuery(space, GENERIC_Z, W, B)
-        q2 = ThetaQuery(space, GENERIC_Z, act(g, W), B)
-        if theta_term_count(q1) != theta_term_count(q2):
+        r1 = theta_report(ThetaQuery(space, GENERIC_Z, W, B))
+        r2 = theta_report(ThetaQuery(space, GENERIC_Z, act(g, W), B))
+        if r1["classes"] != r2["classes"]:
             return 1.0
-        worst = max(worst, abs(theta_truncated(q1) - theta_truncated(q2)))
+        worst = max(worst, abs(complex(*r1["value"]) - complex(*r2["value"])))
     return worst
 
 

@@ -38,11 +38,16 @@ from .intmat import (
     max_abs,
     rank2_column_hnf,
 )
-from .lattice import GramLattice, vectors_of_norm
+from .lattice import (
+    DEFAULT_CAP,
+    GramLattice,
+    ellipsoid_points,
+    half_ball,
+    norm_shell,
+)
 from .majorant import base_majorant, majorant_at
 from .orthogroup import OrthElement, Space, TubePoint
 
-DEFAULT_CAP = 8_000_000
 REL_EPS = 1e-9
 
 
@@ -68,23 +73,6 @@ def _divisors(m: int):
 
 
 # ------------------------------------------------------- base-point path
-
-_norm_cache: dict = {}
-
-
-def _all_of_norm(L: GramLattice, t: int):
-    """All lattice vectors of S-norm exactly t, both signs, cached."""
-    key = (L, t)
-    hit = _norm_cache.get(key)
-    if hit is None:
-        half = vectors_of_norm(L, t)
-        if t == 0:
-            hit = half
-        else:
-            hit = half + [tuple(-c for c in v) for v in half]
-        _norm_cache[key] = hit
-    return hit
-
 
 def _ball_estimate(L: GramLattice, t: float) -> float:
     """Volume estimate of #{x : S[x] <= t}; used only to guard budgets."""
@@ -142,8 +130,8 @@ def _fiber_plan(space: Space, pq):
     return plan, est
 
 
-def _fiber(space: Space, pq, cap: int):
-    """All S1-isotropic integer vectors v with psi(v) = pq.
+def _fiber(space: Space, pq, cap: int) -> np.ndarray:
+    """All S1-isotropic integer vectors v with psi(v) = pq, as int64 rows.
 
     Parameterized by u = a - b, w = c - d (parity fixed by pq) and lattice
     vectors of norm t = (|pq|^2 - u^2 - w^2) / 2; the construction makes
@@ -156,18 +144,24 @@ def _fiber(space: Space, pq, cap: int):
         raise BudgetExceeded(
             f"estimated fiber size {est:.2e} for psi-image {pq} "
             f"exceeds the enumeration cap", int(est), cap)
-    out = []
+    blocks, size = [], 0
     for u, w, t in plan:
-        xs = _all_of_norm(L, t)
-        if len(out) + len(xs) > cap:
+        if t:
+            half = norm_shell(L, t)
+            xs = np.concatenate([half, -half])
+        else:
+            xs = np.zeros((1, L.n), dtype=np.int64)
+        k = xs.shape[0]
+        size += k
+        if size > cap:
             raise BudgetExceeded(
                 f"fiber for psi-image {pq} exceeds the enumeration cap",
-                len(out) + len(xs), cap)
+                size, cap)
         a, b = (p + u) // 2, (p - u) // 2
         c, d = (q + w) // 2, (q - w) // 2
-        for x in xs:
-            out.append((a, c) + x + (d, b))
-    return out
+        blocks.append(np.hstack([np.full((k, 2), (a, c)), xs,
+                                 np.full((k, 2), (d, b))]))
+    return np.concatenate(blocks)
 
 
 def _add_classes(found: dict, V, W, det, primitive_only: bool):
@@ -205,29 +199,32 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     if hit is not None:
         return dict(hit)
     # cheap whole-run feasibility scan before any fiber is built
-    est_total = 0.0
+    est_total, t_max = 0.0, 0
     for D in range(1, Dmax + 1):
-        for pvec, rvec in _index_sublattices(D):
-            est_total += (_fiber_plan(space, pvec)[1]
-                          * _fiber_plan(space, rvec)[1])
+        for pair in _index_sublattices(D):
+            (plan1, est1), (plan2, est2) = (_fiber_plan(space, pq)
+                                            for pq in pair)
+            est_total += est1 * est2
+            t_max = max(t_max, *(t for _, _, t in plan1 + plan2))
     if est_total > 3.0 * cap:
         raise BudgetExceeded(
             f"estimated candidate pair count {est_total:.2e} over image "
             f"indices up to {Dmax} exceeds the enumeration cap",
             int(est_total), cap)
+    # the largest fiber norm first: every fiber shell is then a slice of
+    # one enumeration
+    half_ball(space.L, t_max)
     found: dict = {}
     pair_budget = 0
     for D in range(1, Dmax + 1):
         for pvec, rvec in _index_sublattices(D):
-            F1 = _fiber(space, pvec, cap)
-            F2 = _fiber(space, rvec, cap)
-            pair_budget += len(F1) * len(F2)
+            A1 = _fiber(space, pvec, cap)
+            A2 = _fiber(space, rvec, cap)
+            pair_budget += A1.shape[0] * A2.shape[0]
             if pair_budget > cap:
                 raise BudgetExceeded(
                     f"candidate pair count for image index {D} exceeds cap",
                     pair_budget, cap)
-            A1 = np.array(F1, dtype=np.int64)
-            A2 = np.array(F2, dtype=np.int64)
             dt = _s1_dtype(space, A1, A2)
             right = (np.array(space.S1_int, dtype=dt)
                      @ A2.T.astype(dt, copy=False))
@@ -245,116 +242,6 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
 
 
 # ---------------------------------------------------- general majorants
-
-def _cholesky_upper(Q: np.ndarray) -> np.ndarray:
-    m = Q.shape[0]
-    jitter = 1e-12 * max(1.0, float(np.trace(Q)) / m)
-    return np.linalg.cholesky(Q + jitter * np.eye(m)).T
-
-
-def _ldl(Q: np.ndarray):
-    """Unit-lower LDL^t factors (mu, d) of a positive form; d may pick up
-    roundoff for near-degenerate inputs, callers guard on positivity."""
-    m = Q.shape[0]
-    mu = np.eye(m)
-    d = np.zeros(m)
-    for i in range(m):
-        for j in range(i):
-            mu[i, j] = (Q[i, j] - np.dot(mu[i, :j] * mu[j, :j], d[:j])) / d[j]
-        d[i] = Q[i, i] - np.dot(mu[i, :i] ** 2, d[:i])
-        if d[i] <= 0:
-            d[i] = np.nan
-            break
-    return mu, d
-
-
-def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
-    """Unimodular integer U with Q[U] LLL-reduced (refactored from
-    scratch each step; the dimensions here are tiny).
-
-    Reduction only improves enumeration geometry; correctness of the
-    callers never depends on its quality, so numerical trouble simply
-    returns the progress made so far.
-    """
-    m = Q.shape[0]
-    U = np.eye(m, dtype=np.int64)
-    for _ in range(10000):
-        G = U.T @ Q @ U
-        mu, d = _ldl(G)
-        if np.isnan(d).any():
-            return U
-        # size-reduce in one sweep
-        changed = False
-        for k in range(1, m):
-            for j in range(k - 1, -1, -1):
-                q = round(mu[k, j])
-                if q:
-                    U[:, k] -= q * U[:, j]
-                    mu[k, : j + 1] -= q * mu[j, : j + 1]
-                    changed = True
-        if changed:
-            G = U.T @ Q @ U
-            mu, d = _ldl(G)
-            if np.isnan(d).any():
-                return U
-        swapped = False
-        for k in range(1, m):
-            if d[k] < (delta - mu[k, k - 1] ** 2) * d[k - 1]:
-                U[:, [k - 1, k]] = U[:, [k, k - 1]]
-                swapped = True
-                break
-        if not swapped:
-            return U
-    return U
-
-
-def ellipsoid_points(Q: np.ndarray, T: float, cap: int,
-                     spent: int = 0) -> np.ndarray:
-    """All nonzero integer v with Q[v] <= T (tiny boundary slack), as an
-    int64 array; LLL-preconditioned layered Fincke-Pohst, budget-guarded
-    per level against the cap - spent candidates left of the cap."""
-    Ured = _lll_gram(Q)
-    Qred = Ured.T @ Q @ Ured
-    pts = _fp_points(Qred, T, cap, spent)
-    return pts @ Ured.T
-
-
-def _fp_points(Q: np.ndarray, T: float, cap: int,
-               spent: int = 0) -> np.ndarray:
-    m = Q.shape[0]
-    U = _cholesky_upper(Q)
-    tol = 1e-9 * max(T, 1.0)
-    acc = np.zeros((1, m))
-    sq = np.zeros(1)
-    tails = np.zeros((1, 0), dtype=np.int64)
-    for i in range(m - 1, -1, -1):
-        rem = T + tol - sq
-        uii = U[i, i]
-        cen = -acc[:, i] / uii
-        rad = np.sqrt(np.maximum(rem, 0.0)) / uii
-        lo = np.ceil(cen - rad - 1e-12).astype(np.int64)
-        hi = np.floor(cen + rad + 1e-12).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if total > cap - spent:
-            raise BudgetExceeded(
-                f"enumeration layer {i} holds {total} candidates, more than "
-                f"the {cap - spent} left of the cap {cap}", total, cap)
-        if total == 0:
-            return np.zeros((0, m), dtype=np.int64)
-        idx = np.repeat(np.arange(len(counts)), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offs = np.arange(total) - np.repeat(starts, counts)
-        vi = lo[idx] + offs
-        acc = acc[idx] + vi[:, None] * U[:, i][None, :]
-        sq = sq[idx] + acc[:, i] ** 2
-        keep = sq <= T + tol
-        tails = np.hstack([vi[keep][:, None], tails[idx][keep]])
-        acc = acc[keep]
-        sq = sq[keep]
-    nz = np.any(tails != 0, axis=1)
-    return tails[nz]
-
 
 def _isotropy_mask(space: Space, V: np.ndarray) -> np.ndarray:
     """S1[v] == 0 for each row v of V, exactly (python ints when the int64
@@ -379,13 +266,8 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
         return {}
     iso = stage1[_isotropy_mask(space, stage1)]
     # one sign per line: first nonzero coordinate positive
-    reps = []
-    for v in iso:
-        v = tuple(int(c) for c in v)
-        lead = next(c for c in v if c != 0)
-        if lead > 0:
-            reps.append(v)
-    reps.sort()
+    lead = iso[np.arange(iso.shape[0]), (iso != 0).argmax(axis=1)]
+    reps = sorted(map(tuple, iso[lead > 0].tolist()))
     S1_rows = space.S1_int
     found: dict = {}
     spent = 0

@@ -15,18 +15,26 @@ big space as v = (a, c, x, d, b) with x of length n,
 
 from __future__ import annotations
 
-import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import numpy as np
 
-from .errors import NotEven, NotPositiveDefinite, NotSymmetric, RankDeficient
+from .errors import (
+    BudgetExceeded,
+    NotEven,
+    NotPositiveDefinite,
+    NotSymmetric,
+    RankDeficient,
+)
 from .intmat import (
     bareiss_det,
     column_hnf,
     fraction_inverse,
+    int64_fits,
+    max_abs,
     minors_gcd,
     snf_diagonal,
 )
@@ -174,72 +182,212 @@ def bordered_forms(L: GramLattice) -> BorderedForms:
     )
 
 
+# ------------------------------------------- Fincke-Pohst enumeration
+
+DEFAULT_CAP = 8_000_000
+
+
+def _cholesky_upper(Q: np.ndarray) -> np.ndarray:
+    """Upper U with Q = U^t U, of Q as given: any perturbation would move
+    the ellipsoid's boundary and lose vectors.  A form numpy cannot factor
+    is refused, naming its first leading minor with a nonpositive pivot."""
+    try:
+        return np.linalg.cholesky(Q).T
+    except np.linalg.LinAlgError:
+        bad = np.flatnonzero(np.isnan(_ldl(Q)[1]))
+        raise NotPositiveDefinite(
+            int(bad[0]) + 1 if bad.size else Q.shape[0]) from None
+
+
+def _ldl(Q: np.ndarray):
+    """Unit-lower LDL^t factors (mu, d) of a positive form; d may pick up
+    roundoff for near-degenerate inputs, callers guard on positivity."""
+    m = Q.shape[0]
+    mu = np.eye(m)
+    d = np.zeros(m)
+    for i in range(m):
+        for j in range(i):
+            mu[i, j] = (Q[i, j] - np.dot(mu[i, :j] * mu[j, :j], d[:j])) / d[j]
+        d[i] = Q[i, i] - np.dot(mu[i, :i] ** 2, d[:i])
+        if d[i] <= 0:
+            d[i] = np.nan
+            break
+    return mu, d
+
+
+def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
+    """Unimodular integer U with Q[U] LLL-reduced (refactored from
+    scratch each step; the dimensions here are tiny).
+
+    Reduction only improves enumeration geometry; correctness of the
+    callers never depends on its quality, so numerical trouble simply
+    returns the progress made so far.
+    """
+    m = Q.shape[0]
+    U = np.eye(m, dtype=np.int64)
+    for _ in range(10000):
+        G = U.T @ Q @ U
+        mu, d = _ldl(G)
+        if np.isnan(d).any():
+            return U
+        # size-reduce in one sweep
+        changed = False
+        for k in range(1, m):
+            for j in range(k - 1, -1, -1):
+                q = round(mu[k, j])
+                if q:
+                    U[:, k] -= q * U[:, j]
+                    mu[k, : j + 1] -= q * mu[j, : j + 1]
+                    changed = True
+        if changed:
+            G = U.T @ Q @ U
+            mu, d = _ldl(G)
+            if np.isnan(d).any():
+                return U
+        swapped = False
+        for k in range(1, m):
+            if d[k] < (delta - mu[k, k - 1] ** 2) * d[k - 1]:
+                U[:, [k - 1, k]] = U[:, [k, k - 1]]
+                swapped = True
+                break
+        if not swapped:
+            return U
+    return U
+
+
+def ellipsoid_points(Q: np.ndarray, T: float, cap: int,
+                     spent: int = 0) -> np.ndarray:
+    """All nonzero integer v with Q[v] <= T (tiny boundary slack), as an
+    int64 array; LLL-preconditioned layered Fincke-Pohst, budget-guarded
+    per level against the cap - spent candidates left of the cap."""
+    Ured = _lll_gram(Q)
+    Qred = Ured.T @ Q @ Ured
+    pts = _fp_points(Qred, T, cap, spent)
+    return pts @ Ured.T
+
+
+def _fp_points(Q: np.ndarray, T: float, cap: int,
+               spent: int = 0) -> np.ndarray:
+    m = Q.shape[0]
+    U = _cholesky_upper(Q)
+    tol = 1e-9 * max(T, 1.0)
+    acc = np.zeros((1, m))
+    sq = np.zeros(1)
+    tails = np.zeros((1, 0), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        rem = T + tol - sq
+        uii = U[i, i]
+        cen = -acc[:, i] / uii
+        rad = np.sqrt(np.maximum(rem, 0.0)) / uii
+        lo = np.ceil(cen - rad - 1e-12).astype(np.int64)
+        hi = np.floor(cen + rad + 1e-12).astype(np.int64)
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum())
+        if total > cap - spent:
+            raise BudgetExceeded(
+                f"enumeration layer {i} holds {total} candidates, more than "
+                f"the {cap - spent} left of the cap {cap}", total, cap)
+        if total == 0:
+            return np.zeros((0, m), dtype=np.int64)
+        idx = np.repeat(np.arange(len(counts)), counts)
+        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        offs = np.arange(total) - np.repeat(starts, counts)
+        vi = lo[idx] + offs
+        acc = acc[idx] + vi[:, None] * U[:, i][None, :]
+        sq = sq[idx] + acc[:, i] ** 2
+        keep = sq <= T + tol
+        tails = np.hstack([vi[keep][:, None], tails[idx][keep]])
+        acc = acc[keep]
+        sq = sq[keep]
+    nz = np.any(tails != 0, axis=1)
+    return tails[nz]
+
+
+# ------------------------------------------------ shells of the lattice
+
+_BALL_SLOTS = 8  # lattices whose ball is kept, least recently used out
+_balls: dict = {}  # GramLattice -> (bound, half-vectors, exact norms)
+_balls_lock = threading.Lock()
+
+
+def _enumerate_ball(L: GramLattice, bound: int):
+    # the float factor comes from the exact rows: gram_np() refuses
+    # entries of 2^63 and more
+    pts = ellipsoid_points(np.array(L.S, dtype=float), float(bound),
+                           DEFAULT_CAP)
+    lead = pts[np.arange(pts.shape[0]), (pts != 0).argmax(axis=1)]
+    X = np.where((lead < 0)[:, None], -pts, pts)
+    # exact norms: int64 when no partial sum can overflow it
+    big = max(abs(e) for row in L.S for e in row)
+    dt = np.int64 if int64_fits(L.n ** 2 * big * max_abs(X) ** 2) else object
+    Xd = X.astype(dt, copy=False)
+    norms = ((Xd @ np.array(L.S, dtype=dt)) * Xd).sum(axis=1)
+    X, norms = X[norms <= bound], norms[norms <= bound]
+    order = np.lexsort((*X.T[::-1], norms))
+    X, norms = X[order], norms[order]
+    # x and -x, both enumerated, are now one row twice, adjacent
+    new = np.ones(X.shape[0], dtype=bool)
+    new[1:] = (X[1:] != X[:-1]).any(axis=1)
+    X, norms = X[new], norms[new]
+    X.flags.writeable = norms.flags.writeable = False
+    return X, norms
+
+
+def half_ball(L: GramLattice, bound: int):
+    """(X, norms): the x with 0 < S[x] <= bound, one per {x, -x} with the
+    first nonzero coordinate positive, as rows of an int64 array sorted by
+    (S[x], coordinates), and their exact norms.
+
+    Each lattice keeps the ball enumerated at the largest bound asked so
+    far, and smaller balls are prefixes of it: ask for the largest bound
+    first and every later shell is a slice.  The arrays are read-only
+    views of that cache."""
+    with _balls_lock:
+        hit = _balls.get(L)
+        if hit is None or hit[0] < bound:
+            hit = (bound, *_enumerate_ball(L, bound))
+        _balls.pop(L, None)
+        _balls[L] = hit
+        if len(_balls) > _BALL_SLOTS:
+            del _balls[next(iter(_balls))]
+    _, X, norms = hit
+    k = int(np.searchsorted(norms, bound, side="right"))
+    return X[:k], norms[:k]
+
+
+def norm_shell(L: GramLattice, t: int) -> np.ndarray:
+    """The x with S[x] = t > 0, one per {x, -x}, as rows of a read-only
+    int64 array in the order of `half_ball`."""
+    X, norms = half_ball(L, t)
+    return X[int(np.searchsorted(norms, t, side="left")):]
+
+
 def short_vectors(L: GramLattice, bound: int):
     """All x != 0 with S[x] <= bound, one representative per {x, -x}.
 
-    Enumeration uses a float Cholesky factorization for interval bounds and
-    an exact integer acceptance test, so the output is exhaustive and exact.
-    Returns (vectors, paired) with paired=True meaning each vector stands
-    for the pair {x, -x}; vectors are sorted by (S[x], coordinates).
+    One layered Fincke-Pohst enumeration of the ball (`ellipsoid_points`,
+    float Cholesky bounds with a boundary slack) followed by an exact
+    integer norm test, so the output is exhaustive and exact.  Returns
+    (vectors, paired) with paired=True meaning each vector stands for the
+    pair {x, -x}; each has its first nonzero coordinate positive, and they
+    are sorted by (S[x], coordinates).  Raises BudgetExceeded when an
+    enumeration layer holds more than DEFAULT_CAP candidates.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     if bound == 0:
         return [], True
-    n = L.n
-    Sf = np.array(L.S, dtype=float)
-    # S = R^t R with R upper triangular; S[x] = sum_i (R x)_i^2
-    R = np.linalg.cholesky(Sf).T
-    Rinv = np.linalg.inv(R)
-    out = []
-    x = [0] * n
-    slack = 1e-9 * max(1.0, bound)
-
-    def descend(i: int, remaining: float, partial):
-        # remaining float budget for coordinates 0..i; partial is the
-        # R-image contribution of coordinates i+1..n-1
-        if i < 0:
-            if any(x):
-                val = L.quad(x)
-                if val <= bound:
-                    out.append((val, tuple(x)))
-            return
-        # (R x)_i = R_ii x_i + partial_i; need its square <= remaining
-        r = math.sqrt(max(remaining, 0.0))
-        center = -partial[i] / R[i, i]
-        lo = math.ceil(center - r / R[i, i] - 1e-9)
-        hi = math.floor(center + r / R[i, i] + 1e-9)
-        for xi in range(lo, hi + 1):
-            x[i] = xi
-            contrib = (R[i, i] * xi + partial[i]) ** 2
-            if contrib > remaining + slack:
-                continue
-            descend(i - 1, remaining - contrib, partial + R[:, i] * xi)
-        x[i] = 0
-
-    descend(n - 1, float(bound) + slack, np.zeros(n))
-    # keep one representative per +/- pair: first nonzero coordinate > 0
-    seen = {}
-    for val, vec in out:
-        canon = vec
-        for c in vec:
-            if c != 0:
-                if c < 0:
-                    canon = tuple(-y for y in vec)
-                break
-        seen[canon] = L.quad(list(canon))
-    vectors = sorted(seen.items(), key=lambda kv: (kv[1], kv[0]))
-    return [np.array(v, dtype=np.int64) for v, _ in vectors], True
+    return list(half_ball(L, bound)[0].copy()), True
 
 
 def vectors_of_norm(L: GramLattice, t: int):
-    """All x with S[x] exactly t, up to sign (t > 0), as int tuples."""
+    """All x with S[x] exactly t, up to sign (t > 0), as int tuples in the
+    order of `short_vectors`; a slice of the lattice's cached ball."""
     if t < 0:
         return []
     if t == 0:
         return [tuple([0] * L.n)]
-    vecs, _ = short_vectors(L, t)
-    return [tuple(int(c) for c in v) for v in vecs if L.quad([int(c) for c in v]) == t]
+    return [tuple(v) for v in norm_shell(L, t).tolist()]
 
 
 def is_primitive(M) -> bool:
@@ -257,11 +405,8 @@ def find_norm2_vector(L: GramLattice, radius: int = 6):
             e = [0] * L.n
             e[i] = 1
             return np.array(e, dtype=np.int64)
-    vecs, _ = short_vectors(L, min(radius, 2))
-    for v in vecs:
-        if L.quad([int(c) for c in v]) == 2:
-            return v
-    return None
+    shell = norm_shell(L, 2) if radius >= 2 else ()
+    return shell[0].copy() if len(shell) else None
 
 
 def canonical_columns(M):
@@ -302,16 +447,12 @@ def so_order_bruteforce(L: GramLattice, cap: int = 10 ** 7) -> int:
     n = L.n
     Smat = L.gram()
     shells = {}
+    half_ball(L, max(Smat[j][j] for j in range(n)))  # largest norm first
     for j in range(n):
         t = Smat[j][j]
         if t not in shells:
-            ups = vectors_of_norm(L, t)
-            full = []
-            for v in ups:
-                full.append(v)
-                if any(v):
-                    full.append(tuple(-c for c in v))
-            shells[t] = full
+            shells[t] = [w for v in vectors_of_norm(L, t)
+                         for w in (v, tuple(-c for c in v))]
     count = 0
     nodes = 0
     cols: list = []

@@ -10,7 +10,10 @@ at the tube-domain point W.  The truncation keeps tr(R_W[ell] Y) <= B,
 which is the decay exponent itself: intrinsic, and equivariant under the
 integral orthogonal group, so invariance tests hold exactly at matched
 truncation.  Enumeration runs over the Kronecker form Y x R on stacked
-column pairs.
+column pairs, once per report: `theta_report` takes the value and the term
+count from the same enumerated terms.  The factored diagonal path counts
+lattice shells by a bincount over one cached ball of the lattice
+(`lattice.half_ball`), enumerated at the largest norm it needs.
 
 Tail bounds are certified: the reported bound is the better of a
 smallest-eigenvalue Gaussian comparison and a Poisson-dual volume bound,
@@ -27,12 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eisenstein import _all_of_norm, ellipsoid_points
 from .errors import BudgetExceeded
+from .lattice import DEFAULT_CAP, ellipsoid_points, half_ball
 from .majorant import base_majorant, majorant_at
 from .orthogroup import Space, TubePoint
 
-DEFAULT_CAP = 8_000_000
 IM_FLOOR = 1e-8
 
 
@@ -68,7 +70,8 @@ class ThetaQuery:
 
 
 def _term_data(q: ThetaQuery):
-    """Enumerated column pairs with their exponent ingredients."""
+    """(truncated sum, number of nonzero terms) from one enumeration of
+    the column pairs with tr(R_W[ell] Y) <= B."""
     space = q.space
     m = space.dim + 2
     R = majorant_at(space, q.W)
@@ -83,22 +86,21 @@ def _term_data(q: ThetaQuery):
     r11 = np.einsum("ij,jk,ik->i", A1.astype(float), R, A1.astype(float))
     r12 = np.einsum("ij,jk,ik->i", A1.astype(float), R, A2.astype(float))
     r22 = np.einsum("ij,jk,ik->i", A2.astype(float), R, A2.astype(float))
-    return (s11, s12, s22), (r11, r12, r22), pts.shape[0]
-
-
-def theta_truncated(q: ThetaQuery) -> complex:
-    """Sum of all terms with tr(R_W[ell] Y) <= B, the zero matrix included."""
-    (s11, s12, s22), (r11, r12, r22), _ = _term_data(q)
     X, Y = q.X, q.Y
     phase = s11 * X[0, 0] + 2.0 * s12 * X[0, 1] + s22 * X[1, 1]
     decay = r11 * Y[0, 0] + 2.0 * r12 * Y[0, 1] + r22 * Y[1, 1]
     vals = np.exp(1j * math.pi * phase - math.pi * decay)
-    return 1.0 + complex(vals.sum())
+    return 1.0 + complex(vals.sum()), pts.shape[0]
+
+
+def theta_truncated(q: ThetaQuery) -> complex:
+    """Sum of all terms with tr(R_W[ell] Y) <= B, the zero matrix included."""
+    return _term_data(q)[0]
 
 
 def theta_term_count(q: ThetaQuery) -> int:
     """Number of nonzero enumerated terms."""
-    return _term_data(q)[2]
+    return _term_data(q)[1]
 
 
 def big_theta(q: ThetaQuery) -> complex:
@@ -108,9 +110,11 @@ def big_theta(q: ThetaQuery) -> complex:
 
 
 def theta_report(q: ThetaQuery) -> dict:
-    value = theta_truncated(q)
+    """Value, term count (the zero matrix included) and certified tail of
+    one enumeration."""
+    value, terms = _term_data(q)
     return {
-        "classes": theta_term_count(q) + 1,
+        "classes": terms + 1,
         "B": float(q.B),
         "value": [value.real, value.imag],
         "exhaustive": True,
@@ -207,7 +211,9 @@ def majorant_shell_counts(space: Space, T: int):
     """
     r1 = _square_shells(T)
     r4 = _convolve(_convolve(r1, r1, T), _convolve(r1, r1, T), T)
-    rS = [len(_all_of_norm(space.L, t)) for t in range(T + 1)]
+    _, norms = half_ball(space.L, T)
+    rS = (2 * np.bincount(norms.astype(np.int64), minlength=T + 1)).tolist()
+    rS[0] = 1
     return _convolve(rS, r4, T)
 
 

@@ -23,7 +23,12 @@ from orthokleis.eisenstein import (
     sigma1,
     transport_classes,
 )
-from orthokleis.errors import BudgetExceeded, ConvergenceGuard, RankDeficient
+from orthokleis.errors import (
+    BudgetExceeded,
+    ConvergenceGuard,
+    NotPositiveDefinite,
+    RankDeficient,
+)
 from orthokleis.lattice import is_primitive, load_gram, short_vectors
 from orthokleis.majorant import base_majorant, majorant_at
 from orthokleis.orthogroup import act, random_word, space_for
@@ -295,6 +300,31 @@ def test_ellipsoid_points_against_lattice_enumeration(sp_a2):
         expect.add(t)
         expect.add(tuple(-x for x in t))
     assert got == expect
+
+
+def test_ellipsoid_keeps_short_axes_of_a_skewed_form():
+    # a 2^40 diagonal entry must not shrink the ellipsoid along e1
+    pts = ellipsoid_points(np.array([[2.0, 0.0], [0.0, 2.0 ** 40]]), 8.0, 1000)
+    assert sorted(map(tuple, pts.tolist())) == [(-2, 0), (-1, 0), (1, 0), (2, 0)]
+
+
+def test_ellipsoid_refuses_a_form_it_cannot_factor():
+    with pytest.raises(NotPositiveDefinite) as ei:
+        ellipsoid_points(np.array([[2.0, 3.0], [3.0, 2.0]]), 4.0, 1000)
+    assert ei.value.minor_index == 2
+
+
+def test_general_path_exhaustive_for_large_gram(tmp_path):
+    # the general path factors diag(1, 1, 2^60, 1, 1) and must keep the
+    # unit axes: both enumerators find the same 8 classes
+    path = tmp_path / "big60.gram"
+    path.write_text(f"1\n{2 ** 60}\n")
+    sp = space_for(load_gram(str(path)))
+    R = base_majorant(sp)
+    base = enumerate_isotropic_classes(sp, R, 9.0)
+    general = enumerate_isotropic_classes(sp, R, 9.0, _force_general=True)
+    assert len(base) == 8
+    assert [c.ell for c in general] == [c.ell for c in base]
 
 
 def test_ellipsoid_budget_guard():

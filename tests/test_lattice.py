@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -292,3 +293,60 @@ def test_catalog_all_valid():
     for name in CATALOG:
         L = load_gram(name)
         assert L.det > 0
+
+
+@st.composite
+def even_gram(draw):
+    """A^t A + diag(c) with c >= 1 of the parity that makes the diagonal
+    even: positive definite, off-diagonal entries of either parity."""
+    n = draw(st.integers(1, 4))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    S = [[sum(A[k][i] * A[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        S[i][i] += 2 * extra[i] + (1 if S[i][i] % 2 else 2)
+    return validate_gram(S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(even_gram(), st.integers(0, 12))
+def test_short_vectors_against_box_scan(lat, bound):
+    # |x_i| <= sqrt(bound * (S^-1)_ii) on the ellipsoid S[x] <= bound
+    inv = lat.inverse()
+    box = [math.isqrt(math.floor(bound * inv[i][i])) for i in range(lat.n)]
+    brute = set()
+    for x in itertools.product(*(range(-b, b + 1) for b in box)):
+        if any(x) and lat.quad(list(x)) <= bound:
+            lead = next(c for c in x if c)
+            brute.add(x if lead > 0 else tuple(-c for c in x))
+    expect = sorted(brute, key=lambda x: (lat.quad(list(x)), x))
+    vecs, paired = short_vectors(lat, bound)
+    assert paired
+    assert [tuple(int(c) for c in v) for v in vecs] == expect
+    for t in range(1, bound + 1):
+        assert vectors_of_norm(lat, t) == [
+            x for x in expect if lat.quad(list(x)) == t]
+
+
+def test_short_vectors_empty_ball():
+    # a lattice seen for the first time, with no vector below the bound
+    assert short_vectors(validate_gram([[6, 1], [1, 6]]), 5) == ([], True)
+
+
+def test_vectors_of_norm_e8_theta_is_e4():
+    # the theta series of E8 is the weight-4 Eisenstein series:
+    # r(2k) = 240 sigma_3(k)
+    for k in range(1, 8):
+        sigma3 = sum(d ** 3 for d in range(1, k + 1) if k % d == 0)
+        assert 2 * len(vectors_of_norm(E8, 2 * k)) == 240 * sigma3
+
+
+def test_norms_stay_exact_beyond_int64():
+    # int64 sums of 2^62 x_i^2 wrap at 2^63
+    L = validate_gram([[2 ** 62, 0], [0, 2 ** 62]])
+    assert vectors_of_norm(L, 2 ** 63) == [(1, -1), (1, 1)]
+    # an entry int64 cannot hold at all
+    vecs, _ = short_vectors(validate_gram([[2 ** 64]]), 2 ** 64)
+    assert [tuple(int(c) for c in v) for v in vecs] == [(1,)]

@@ -280,3 +280,19 @@ def test_budget_guard(sp_e8):
         theta_truncated(
             ThetaQuery(sp_e8, 1j * np.eye(2), base_tube(sp_e8), 4.0, cap=1000)
         )
+
+
+def test_cli_theta_row_flags_a_vacuous_tail():
+    from orthokleis.cli import cmd_eval_theta
+
+    def row(name):
+        return cmd_eval_theta(space_for(load_gram(name)), 3.0)[0]
+
+    a2, e8 = row("A2"), row("E8")
+    # A2: bound 0.021 against |v1| + |v2| = 2.06, so within_tail tests something
+    assert a2["tail_vacuous"] is False and a2["tail_bound"] < 0.1
+    # E8: bound 1.18e4, which no pair of values near 1 can exceed
+    assert e8["tail_vacuous"] is True and e8["tail_bound"] > 1e4
+    for r in (a2, e8):
+        total = abs(complex(*r["value"])) + abs(complex(*r["refined_value"]))
+        assert r["tail_vacuous"] == (r["tail_bound"] >= total)
