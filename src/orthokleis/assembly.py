@@ -25,8 +25,13 @@ import numpy as np
 from scipy import integrate
 from scipy.special import gamma as _gamma_c
 
-from .eisenstein import eisenstein_truncated
-from .errors import ConvergenceGuard, PoleAt, QuadratureBudget
+from .eisenstein import (
+    check_convergence,
+    class_value,
+    enumerate_isotropic_classes,
+)
+from .errors import PoleAt, QuadratureBudget
+from .majorant import majorant_at
 from .orthogroup import Space
 
 _POLE_TOL = 1e-12
@@ -311,27 +316,41 @@ def dirichlet_reflection(s, k):
     return 2 * k - 9 - s
 
 
+def completed_e8_grid(space: Space, W, s_grid, B: float,
+                      cap: int | None = None) -> list[CompletedSeriesFactors]:
+    """completed_e8_eisenstein at every s of a grid.  Every s is checked
+    before the classes at W are enumerated, once for the whole grid."""
+    if space.n != 8:
+        raise ValueError("this assembly is specific to rank 8")
+    s_grid = [complex(s) for s in s_grid]
+    factors = []
+    for s in s_grid:
+        factors.append((
+            ("xi(s-3)", xi(s - 3)),
+            ("xi(2s-8)", xi(2 * s - 8)),
+            ("xi(s)", xi(s)),
+            ("xi(s-1)", xi(s - 1)),
+            ("gamma_S(s)", gamma_s(s, 8)),
+        ))
+        check_convergence(s, space.n + 1)
+    kwargs = {} if cap is None else {"cap": cap}
+    classes = enumerate_isotropic_classes(space, majorant_at(space, W), B,
+                                          **kwargs)
+    out = []
+    for s, fac in zip(s_grid, factors):
+        series = class_value(classes, s)
+        out.append(CompletedSeriesFactors(
+            s=s, n=8, r=2, factors=fac, series_value=series,
+            completed_value=series * math.prod(
+                (complex(v) for _, v in fac), start=1 + 0j)))
+    return out
+
+
 def completed_e8_eisenstein(space: Space, W, s, B: float,
                             cap: int | None = None) -> CompletedSeriesFactors:
     """Truncated rank-8 series multiplied by its completion factors
     xi(s-3) xi(2s-8) xi(s) xi(s-1) and the quadratic factor product."""
-    if space.n != 8:
-        raise ValueError("this assembly is specific to rank 8")
-    s = complex(s)
-    factors = (
-        ("xi(s-3)", xi(s - 3)),
-        ("xi(2s-8)", xi(2 * s - 8)),
-        ("xi(s)", xi(s)),
-        ("xi(s-1)", xi(s - 1)),
-        ("gamma_S(s)", gamma_s(s, 8)),
-    )
-    kwargs = {} if cap is None else {"cap": cap}
-    series = eisenstein_truncated(space, W, s, B, **kwargs)
-    out = CompletedSeriesFactors(
-        s=s, n=8, r=2, factors=factors, series_value=series,
-        completed_value=series * math.prod(
-            (complex(v) for _, v in factors), start=1 + 0j))
-    return out
+    return completed_e8_grid(space, W, [s], B, cap)[0]
 
 
 def completed_dirichlet(coeffs, s, k: int, n: int,
@@ -345,9 +364,7 @@ def completed_dirichlet(coeffs, s, k: int, n: int,
     if not isinstance(so_order, int) or so_order <= 0:
         raise ValueError("the finite group order must be a positive integer")
     s = complex(s)
-    if s.real <= k + 1:
-        raise ConvergenceGuard(
-            f"Re(s) = {s.real} is not above the convergence line {k + 1}")
+    check_convergence(s, k + 1)
     series = sum(
         (complex(c) * (m + 1) ** -s for m, c in enumerate(coeffs)), 0j)
     factors = (

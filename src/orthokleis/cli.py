@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
@@ -26,7 +25,7 @@ import numpy as np
 
 from .assembly import (
     completed_dirichlet,
-    completed_e8_eisenstein,
+    completed_e8_grid,
     dirichlet_reflection,
     eisenstein_reflection,
     gamma_s,
@@ -38,11 +37,12 @@ from .assembly import (
     xi,
 )
 from .eisenstein import (
+    check_convergence,
     class_value,
     enumerate_isotropic_classes,
-    eisenstein_report,
     hnf_det_class_count,
     imprimitive_factorization_check,
+    series_report,
     sigma1,
 )
 from .errors import (
@@ -85,8 +85,9 @@ from .siegelops import (
     one_dim_casimir_residual,
     phi2,
     shimura_power,
+    siegel_convergence_guard,
     siegel_coset_reps,
-    siegel_eisenstein_truncated,
+    siegel_value_over,
     theta_term_symbol,
 )
 from .theta import ThetaQuery, tail_bound, theta_report, theta_truncated
@@ -179,19 +180,18 @@ def cmd_report(space) -> dict:
 
 
 def cmd_eval_eisenstein(space, s_grid, B: float) -> list[dict]:
-    base = space.base_point()
-    steps = sorted({max(1.0, B / 4), max(1.0, B / 2), B})
+    for s in s_grid:
+        check_convergence(s, space.n + 1)
+    R = majorant_at(space, space.base_point())
+    # each rung is its own enumeration, so the monotonicity flags compare
+    # independent results
+    steps = sorted({min(B, max(1.0, B / 4)), min(B, max(1.0, B / 2)), B})
+    ladder = [(b, enumerate_isotropic_classes(space, R, b)) for b in steps]
     rows = []
     for idx, s in enumerate(s_grid, start=1):
-        diagnostics = []
-        for b in steps:
-            diagnostics.append(eisenstein_report(space, base, s, b))
-        row = dict(diagnostics[-1])
-        row["index"] = idx
-        row["diagnostics"] = [
-            {"B": d["B"], "classes": d["classes"], "value": d["value"]}
-            for d in diagnostics
-        ]
+        diagnostics = [series_report(classes, s, b) for b, classes in ladder]
+        row = dict(diagnostics[-1], index=idx, diagnostics=[
+            {k: d[k] for k in ("B", "classes", "value")} for d in diagnostics])
         counts = [d["classes"] for d in diagnostics]
         row["monotone_classes"] = counts == sorted(counts)
         if s.imag == 0.0:
@@ -225,11 +225,15 @@ def cmd_eval_theta(space, B: float) -> list[dict]:
 
 
 def cmd_eval_siegel(s_grid, B: float) -> list[dict]:
+    for s in s_grid:
+        siegel_convergence_guard(s)
     P = SiegelPoint(1j, 1j, 0.0)
+    fine = siegel_coset_reps(int(B))
+    coarse = siegel_coset_reps(max(1, int(B) // 2))
     rows = []
     for idx, s in enumerate(s_grid, start=1):
-        val = siegel_eisenstein_truncated(P, s, int(B))
-        half = siegel_eisenstein_truncated(P, s, max(1, int(B) // 2))
+        val = siegel_value_over(fine, P, s)
+        half = siegel_value_over(coarse, P, s)
         rows.append({
             "index": idx,
             "s": _pair(s),
@@ -243,22 +247,16 @@ def cmd_eval_siegel(s_grid, B: float) -> list[dict]:
 
 
 def cmd_eval_completed(space, s_grid, B: float, args) -> list[dict]:
-    rows = []
-    coeffs = None
-    if args.coeffs is not None:
+    if args.coeffs is None:
+        results = completed_e8_grid(space, space.base_point(), s_grid, B)
+    else:
         coeffs = read_coefficient_file(args.coeffs)
         if args.so_order is None:
             raise ValueError("--coeffs requires --so-order")
-    for idx, s in enumerate(s_grid, start=1):
-        if coeffs is None:
-            out = completed_e8_eisenstein(space, space.base_point(), s, B)
-        else:
-            out = completed_dirichlet(
-                coeffs, s, args.weight, space.n, args.so_order)
-        row = out.as_dict()
-        row["index"] = idx
-        rows.append(row)
-    return rows
+        results = [completed_dirichlet(coeffs, s, args.weight, space.n,
+                                       args.so_order) for s in s_grid]
+    return [dict(out.as_dict(), index=idx)
+            for idx, out in enumerate(results, start=1)]
 
 
 # --------------------------------------------------------------- verify
@@ -512,7 +510,7 @@ def p_siegel_cosets(ctx):
     if len(reps) != 68:
         return 1.0
     P = SiegelPoint(1.1j, 0.9j, 0.05)
-    v = siegel_eisenstein_truncated(P, 2.0, 1)
+    v = siegel_value_over(reps, P, 2.0)
     if not (v.real > 0 and abs(v.imag) < 1e-12):
         return 1.0
     return 0.0

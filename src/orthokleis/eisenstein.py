@@ -63,13 +63,13 @@ class IsotropicClass:
         return np.array([list(r) for r in self.ell], dtype=np.int64)
 
 
-def sigma1(m: int) -> int:
-    """Sum of divisors."""
-    return sum(d for d in range(1, m + 1) if m % d == 0)
-
-
 def _divisors(m: int):
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def sigma1(m: int) -> int:
+    """Sum of divisors."""
+    return sum(_divisors(m))
 
 
 # ------------------------------------------------------- base-point path
@@ -100,13 +100,9 @@ def _lagrange_reduce(v1, v2):
 
 
 def _index_sublattices(D: int):
-    """Reduced bases of the index-D sublattices of Z^2 (sigma1(D) of them)."""
-    out = []
-    for a in _divisors(D):
-        d = D // a
-        for b in range(d):
-            out.append(_lagrange_reduce((a, b), (0, d)))
-    return out
+    """Reduced bases of the index-D sublattices of Z^2 (sigma1(D) of them),
+    one per column Hermite form."""
+    return [_lagrange_reduce(*zip(*rep)) for rep in hnf_class_reps(D)]
 
 
 def _fiber_plan(space: Space, pq):
@@ -187,17 +183,10 @@ def _s1_dtype(space: Space, A, B):
     return np.int64 if int64_fits(bound) else object
 
 
-_base_class_cache: dict = {}
-
-
 def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     """Class dict {canonical rows: detR} at the base-point majorant."""
     limit = B * (1.0 + REL_EPS) + REL_EPS
     Dmax = math.isqrt(int(limit))
-    key = (space.L, Dmax, primitive_only)
-    hit = _base_class_cache.get(key)
-    if hit is not None:
-        return dict(hit)
     # cheap whole-run feasibility scan before any fiber is built
     est_total, t_max = 0.0, 0
     for D in range(1, Dmax + 1):
@@ -237,7 +226,6 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
                     _add_classes(found, A1[ii], A2[jj],
                                  np.full(ii.size, float(D * D)),
                                  primitive_only)
-    _base_class_cache[key] = dict(found)
     return found
 
 
@@ -376,33 +364,22 @@ def transport_classes(space: Space, classes, g: OrthElement,
     return out
 
 
-def eisenstein_truncated(space: Space, Z: TubePoint, s: complex, B: float,
-                         allow_formal: bool = False,
-                         cap: int = DEFAULT_CAP) -> complex:
-    """Truncated series value at Z: the sum of det(R_Z[ell])^(-s/2) over
-    all classes with det(R_Z[ell]) <= B."""
+def check_convergence(s: complex, line: float,
+                      allow_formal: bool = False) -> bool:
+    """Refuse Re(s) at or below the convergence line unless a formal
+    truncation is allowed; returns whether the truncation is formal."""
     s = complex(s)
-    if s.real <= space.n + 1 and not allow_formal:
-        raise ConvergenceGuard(
-            f"Re(s) = {s.real} is not above the convergence line {space.n + 1}")
-    if not B > 0:
-        raise ValueError("B must be positive")
-    R = majorant_at(space, Z)
-    classes = enumerate_isotropic_classes(space, R, B, cap=cap)
-    return class_value(classes, s)
-
-
-def eisenstein_report(space: Space, Z: TubePoint, s: complex, B: float,
-                      allow_formal: bool = False,
-                      cap: int = DEFAULT_CAP) -> dict:
-    """Evaluation plus bookkeeping, in the shape the CLI serializes."""
-    s = complex(s)
-    formal = s.real <= space.n + 1
+    formal = s.real <= line
     if formal and not allow_formal:
         raise ConvergenceGuard(
-            f"Re(s) = {s.real} is not above the convergence line {space.n + 1}")
-    R = majorant_at(space, Z)
-    classes = enumerate_isotropic_classes(space, R, B, cap=cap)
+            f"Re(s) = {s.real} is not above the convergence line {line}")
+    return formal
+
+
+def series_report(classes, s: complex, B: float, formal: bool = False) -> dict:
+    """The truncated series over an enumerated class list, in the shape
+    the CLI serializes."""
+    s = complex(s)
     value = class_value(classes, s)
     rep = {
         "classes": len(classes),
@@ -414,6 +391,25 @@ def eisenstein_report(space: Space, Z: TubePoint, s: complex, B: float,
     if formal:
         rep["label"] = "formal truncation"
     return rep
+
+
+def eisenstein_report(space: Space, Z: TubePoint, s: complex, B: float,
+                      allow_formal: bool = False,
+                      cap: int = DEFAULT_CAP) -> dict:
+    """Evaluation plus bookkeeping, in the shape the CLI serializes."""
+    formal = check_convergence(s, space.n + 1, allow_formal)
+    R = majorant_at(space, Z)
+    classes = enumerate_isotropic_classes(space, R, B, cap=cap)
+    return series_report(classes, s, B, formal)
+
+
+def eisenstein_truncated(space: Space, Z: TubePoint, s: complex, B: float,
+                         allow_formal: bool = False,
+                         cap: int = DEFAULT_CAP) -> complex:
+    """Truncated series value at Z: the sum of det(R_Z[ell])^(-s/2) over
+    all classes with det(R_Z[ell]) <= B."""
+    rep = eisenstein_report(space, Z, s, B, allow_formal, cap)
+    return complex(*rep["value"])
 
 
 def hnf_det_class_count(m: int) -> int:

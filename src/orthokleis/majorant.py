@@ -23,7 +23,7 @@ two columns of g^{-1} satisfies
 from __future__ import annotations
 
 import math
-import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,9 +42,6 @@ from .orthogroup import (
 
 TRANSPORT_TOL = 1e-8
 DEGENERATE_TOL = 1e-10
-
-_cache_lock = threading.Lock()
-_majorant_cache: dict = {}
 
 
 def base_majorant(space: Space) -> np.ndarray:
@@ -130,12 +127,15 @@ def transport_to(space: Space, Z: TubePoint) -> OrthElement:
 
 
 def majorant_at(space: Space, Z: TubePoint) -> np.ndarray:
-    """R_Z, the transported majorant; cached per point."""
-    key = (space.L, Z.Z.tobytes())
-    with _cache_lock:
-        hit = _majorant_cache.get(key)
-    if hit is not None:
-        return hit
+    """R_Z, the transported majorant.  The last 1024 points are cached, so
+    equal points share one array; it is read-only, and a caller that needs
+    to change it works on a copy."""
+    return _majorant(space, Z.Z.tobytes())
+
+
+@lru_cache(maxsize=1024)
+def _majorant(space: Space, zbytes: bytes) -> np.ndarray:
+    Z = TubePoint(space, np.frombuffer(zbytes, dtype=complex))
     delta = transport_to(space, Z)
     dinv = inverse_closed_form(delta).asfloat()
     R = dinv.T @ base_majorant(space) @ dinv
@@ -143,14 +143,11 @@ def majorant_at(space: Space, Z: TubePoint) -> np.ndarray:
     resid = np.abs(R @ space.S1_inv_np @ R - space.S1).max()
     if resid > 1e-6:
         raise TransportFailure(float(resid))
-    with _cache_lock:
-        _majorant_cache[key] = R
+    R.setflags(write=False)
     return R
 
 
-def clear_majorant_cache():
-    with _cache_lock:
-        _majorant_cache.clear()
+clear_majorant_cache = _majorant.cache_clear
 
 
 def klingen_quotient(space: Space, Z: TubePoint) -> float:

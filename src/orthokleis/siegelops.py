@@ -17,7 +17,6 @@ with det(d_Z) = dz1 dz2 - (1/4) dz3^2 in the entry coordinates.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +28,7 @@ from .errors import (
     SingularDenominator,
     XDependentInput,
 )
-from .exppoly import ExpPoly, PiPoly
+from .exppoly import ExpPoly
 from .intmat import PAIR_SLICE, minors_gcd, rank2_column_hnf, row_hnf_transform
 from .majorant import base_majorant
 from .orthogroup import Space
@@ -441,11 +440,16 @@ def siegel_value_over(classes, Z: SiegelPoint, s: complex) -> complex:
     return dety ** complex(s) * total
 
 
-def siegel_eisenstein_truncated(Z: SiegelPoint, s: complex, B: int) -> complex:
-    """Entry-bounded truncation of the degenerate series
-    sum over classes of det(Im gZ)^s = (det Y)^s sum |det(CZ+D)|^{-2s}."""
+def siegel_convergence_guard(s: complex) -> None:
+    """Refuse Re(s) at or below 3/2, where the series diverges."""
     if complex(s).real <= 1.5:
         raise ConvergenceGuard(
             "series truncations are only meaningful for Re(s) > 3/2"
         )
+
+
+def siegel_eisenstein_truncated(Z: SiegelPoint, s: complex, B: int) -> complex:
+    """Entry-bounded truncation of the degenerate series
+    sum over classes of det(Im gZ)^s = (det Y)^s sum |det(CZ+D)|^{-2s}."""
+    siegel_convergence_guard(s)
     return siegel_value_over(siegel_coset_reps(B), Z, s)

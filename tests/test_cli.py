@@ -123,6 +123,64 @@ def test_eisenstein_guard_labeled(capsys):
     assert "ConvergenceGuard" in err
 
 
+def test_eisenstein_ladder_stays_below_requested_bound(capsys):
+    code, doc, _ = run_json(capsys, "--lattice", "A2",
+                            "--command", "eisenstein", "--B", "0.5",
+                            "--s", "6,0")
+    assert code == 0
+    row = doc["rows"][0]
+    assert row["B"] == doc["B"] == 0.5
+    assert row["classes"] == 0
+    assert all(d["B"] <= 0.5 for d in row["diagnostics"])
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Wrap the function `name` in every given module with one shared
+    call counter."""
+    original = getattr(modules[0], name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod in modules:
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_each_rung_enumerated_once_per_command(monkeypatch, capsys):
+    from orthokleis import cli, eisenstein, siegelops
+
+    calls = _count_calls(monkeypatch, [eisenstein], "_base_classes")
+    code, _, _ = run_cli(capsys, "--lattice", "A2", "--command", "eisenstein",
+                         "--s", "6,0:7,1", "--B", "20")
+    assert code == 0
+    assert len(calls) == 3  # B = 5, 10, 20, shared by both s
+    calls.clear()
+    code, _, _ = run_cli(capsys, "--lattice", "E8", "--command", "completed",
+                         "--s", "12,0:13,0:14,1")
+    assert code == 0
+    assert len(calls) == 1
+    calls.clear()
+    # a refused point anywhere in the grid stops the run before enumerating
+    code, _, err = run_cli(capsys, "--lattice", "A2", "--command",
+                           "eisenstein", "--s", "6,0:3,0", "--B", "20")
+    assert code == 2 and "ConvergenceGuard" in err
+    assert calls == []
+
+    scans = _count_calls(monkeypatch, [siegelops, cli], "siegel_coset_reps")
+    code, _, _ = run_cli(capsys, "--lattice", "A2", "--command", "siegel",
+                         "--s", "2,0:3,0")
+    assert code == 0
+    assert len(scans) == 2  # entry bounds B and B // 2
+    scans.clear()
+    code, _, err = run_cli(capsys, "--lattice", "A2", "--command", "siegel",
+                           "--s", "2,0:1,0")
+    assert code == 2 and "ConvergenceGuard" in err
+    assert scans == []
+
+
 def test_theta_within_tail_of_doubled_rerun(capsys):
     code, doc, _ = run_json(capsys, "--lattice", "A2", "--command", "theta",
                             "--B", "3")

@@ -190,6 +190,17 @@ def test_budget_exceeded_is_fast_for_large_e8(sp_e8):
     assert time.time() - t0 < 10.0
 
 
+def test_budget_refusal_does_not_depend_on_earlier_calls(sp_a2):
+    # a successful enumeration under a large cap must not let a later call
+    # with a small cap skip its own budget check
+    R = base_majorant(sp_a2)
+    with pytest.raises(BudgetExceeded):
+        enumerate_isotropic_classes(sp_a2, R, 100.0, cap=1000)
+    assert len(enumerate_isotropic_classes(sp_a2, R, 100.0, cap=10**7)) == 2472
+    with pytest.raises(BudgetExceeded):
+        enumerate_isotropic_classes(sp_a2, R, 100.0, cap=1000)
+
+
 def test_eisenstein_value_and_guards(sp_a2):
     base = sp_a2.base_point()
     val = eisenstein_truncated(sp_a2, base, 5.0, 1.0)

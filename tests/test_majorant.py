@@ -180,3 +180,10 @@ def test_cache_returns_same_array(sp_a2):
     R1 = majorant_at(sp_a2, Z)
     R2 = majorant_at(sp_a2, TubePoint(sp_a2, Z.Z.copy()))
     assert R1 is R2
+
+
+def test_cached_majorant_is_read_only(sp_a2):
+    rng = np.random.default_rng(39)
+    R = majorant_at(sp_a2, random_point(sp_a2, rng))
+    with pytest.raises(ValueError):
+        R[0, 0] = 0.0
