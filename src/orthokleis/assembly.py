@@ -15,15 +15,14 @@ import csv
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy import integrate
 from scipy.special import gamma as _gamma_c
+from scipy.special import loggamma as _loggamma
 
 from .eisenstein import (
     check_convergence,
@@ -209,14 +208,56 @@ def gamma_factors(s, n: int):
 
 # ---------------------------------------------- positive-cone integral
 
-def p2_integral_check(s, T, rel_tol: float = 1e-4) -> tuple[complex, complex]:
-    """Adaptive cubature of the determinant-power Gaussian against its
-    closed form sqrt(pi) Gamma_2(s) det(T)^{-s}.
+# Nested (Gauss-Jacobi nodes, trapezoid step) rules, coarsest first.
+_P2_LADDER = ((20, 0.2), (40, 0.1), (80, 0.05), (160, 0.025))
+_UNIT_ROUNDOFF = 2.0 ** -53
 
-    The invariant measure (det Y)^{-3/2} dY is charted as
-    (y1, y2, u = y3/sqrt(y1 y2)) which turns the cone into a box times
-    two half-lines and concentrates the boundary weight into the factor
-    (1 - u^2)^{s - 3/2}.
+
+def _jacobi_mass(a: float) -> float:
+    """int_{-1}^{1} (1 - u^2)^a du = B(1/2, a + 1), for a > -1."""
+    return math.exp(math.lgamma(0.5) + math.lgamma(a + 1) - math.lgamma(a + 1.5))
+
+
+def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss rule for the weight (1 - u^2)^a on [-1, 1], a > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
+    matrix, and each weight is 1 / sum_k p_k(u)^2 over the orthonormal
+    polynomials of degree < n.  (scipy.special.roots_jacobi computes the
+    same rule, but its first call imports scipy.linalg, which costs more
+    than the whole cone integral.)
+    """
+    k = np.arange(2, n, dtype=float)
+    off = np.sqrt(np.concatenate(
+        ([1 / (3 + 2 * a)], k * (k + 2 * a) / ((2 * k + 2 * a) ** 2 - 1))))
+    u = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_prev, p = np.zeros(n), np.full(n, 1 / math.sqrt(_jacobi_mass(a)))
+    norm2 = p * p
+    for j in range(n - 1):
+        p, p_prev = (u * p - (off[j - 1] if j else 0.0) * p_prev) / off[j], p
+        norm2 += p * p
+    return u, 1 / norm2
+
+
+def p2_integral_check(s, T, rel_tol: float = 1e-4) -> tuple[complex, complex]:
+    """Certified quadrature of the determinant-power Gaussian
+    int_{Y>0} exp(-tr TY) (det Y)^{s-3/2} dY against its closed form
+    sqrt(pi) Gamma_2(s) det(T)^{-s}; returns (numeric, closed).
+
+    The cone is charted as y1 = r a, y2 = r/a, y3 = u r (Jacobian 2r/a),
+    so the r-integral is Gamma(2s) c^{-2s} with c = t1 a + t2/a + 2 t3 u.
+    With a = sqrt(t2/t1) e^y and rho = t3/sqrt(t1 t2) what is left is
+        2 Gamma(2s) (2 sqrt(t1 t2))^{-2s}
+            int_{-1}^{1} (1-u^2)^{s-3/2} int_R (cosh y + rho u)^{-2s} dy du.
+    The u-integral uses Gauss-Jacobi nodes for the weight
+    (1-u^2)^{Re s - 3/2}, the y-integral the trapezoid rule on [-L, L],
+    with L taken from the e^{-2 Re s |y|} decay; each rung of _P2_LADDER
+    is one array expression over the whole grid.  The certificate of a
+    rung is the gap to the previous rung, plus the analytic bound on the
+    y-tail beyond +-L, plus the summation rounding bound
+    gamma_n sum |w_i f_i| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 4.2).  QuadratureBudget is raised when the certificate is
+    still above rel_tol |closed| at the last rung.
     """
     s = complex(s)
     if s.real <= 0.5:
@@ -230,34 +271,60 @@ def p2_integral_check(s, T, rel_tol: float = 1e-4) -> tuple[complex, complex]:
     t1, t2, t3 = T[0, 0], T[1, 1], T[0, 1]
     det_t = t1 * t2 - t3 * t3
     closed = math.sqrt(math.pi) * gamma2(s) * det_t ** (-s)
-
-    def make_integrand(part):
-        def f(u, y1, y2):
-            g = math.sqrt(y1 * y2)
-            val = ((y1 * y2) ** (s - 1) * (1 - u * u) ** (s - 1.5)
-                   * math.exp(-(t1 * y1 + t2 * y2 + 2 * t3 * u * g)))
-            return val.real if part == 0 else val.imag
-        return f
-
-    ranges = [(-1.0, 1.0), (0.0, np.inf), (0.0, np.inf)]
-    # quadpack certificates stop improving much below 1e-10 while the cost
-    # keeps climbing, so clamp what we ask of it; the budget comparison
-    # below still holds the caller's rel_tol.
-    opts = {"epsrel": max(rel_tol / 20, 1e-10), "epsabs": 0.0, "limit": 60}
-    parts = []
-    err_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        for part in (0, 1) if s.imag != 0 else (0,):
-            val, err = integrate.nquad(make_integrand(part), ranges, opts=opts)
-            parts.append(val)
-            err_total += err
-    numeric = complex(parts[0], parts[1] if len(parts) > 1 else 0.0)
-    if err_total > rel_tol * max(abs(closed), 1e-300):
+    if not (cmath.isfinite(closed) and closed):
         raise QuadratureBudget(
-            f"cubature error estimate {err_total:.2e} exceeds the requested "
-            f"relative tolerance {rel_tol:g} of |closed| = {abs(closed):.3e}")
-    return numeric, closed
+            f"the closed form {closed} at s = {s} is outside double range")
+
+    sigma = s.real
+    rho = t3 / math.sqrt(t1 * t2)
+    prefactor = 2 * complex(np.exp(
+        _loggamma(2 * s) - 2 * s * math.log(2 * math.sqrt(t1 * t2))))
+    target = rel_tol * abs(closed) / abs(prefactor)
+
+    # |integrand| has u-mass B(1/2, sigma - 1/2), and for |y| >= L
+    # cosh y + rho u >= (e^|y| / 2)(1 - 2|rho| e^-L), so the integral and
+    # the rule beyond +-L are both at most tail(L).  L starts from the
+    # rho = 0 solution of tail(L) = u |closed / prefactor| and is a
+    # multiple of the coarsest step, so every rung's grid ends on +-L.
+    u_mass = _jacobi_mass(sigma - 1.5)
+    tail_tol = _UNIT_ROUNDOFF * abs(closed / prefactor)
+
+    def tail(L):
+        q = 1 - 2 * abs(rho) * math.exp(-L)
+        if q <= 0:
+            return math.inf
+        return u_mass * (2 / q) ** (2 * sigma) * math.exp(-2 * sigma * L) / sigma
+
+    step = _P2_LADDER[0][1]
+    L0 = math.log(u_mass * 4 ** sigma / (sigma * tail_tol)) / (2 * sigma)
+    L = step * max(1, math.ceil(L0 / step))
+    while tail(L) > tail_tol:
+        L += step
+    tail_bound = tail(L)
+
+    exponent = -2 * s if s.imag else -2 * sigma
+    previous = None
+    for nodes, h in _P2_LADDER:
+        u, w = _gauss_jacobi(nodes, sigma - 1.5)
+        if s.imag:
+            w = w * (1 - u * u) ** (1j * s.imag)
+        half = round(L / h)
+        c = np.cosh(h * np.arange(-half, half + 1)) + rho * u[:, None]
+        terms = (h * w)[:, None] * c ** exponent
+        value = terms.sum()
+        n = terms.size
+        rounding = (n * _UNIT_ROUNDOFF / (1 - n * _UNIT_ROUNDOFF)
+                    * np.abs(terms).sum())
+        if previous is not None:
+            certificate = abs(value - previous) + tail_bound + rounding
+            if certificate <= target:
+                return complex(prefactor * value), closed
+        previous = value
+    raise QuadratureBudget(
+        f"relative quadrature certificate "
+        f"{certificate * abs(prefactor / closed):.2e} after {nodes} "
+        f"Gauss-Jacobi nodes and step {h} exceeds the requested relative "
+        f"tolerance {rel_tol:g} of |closed| = {abs(closed):.3e}")
 
 
 # --------------------------------------------------- completed assemblies

@@ -483,12 +483,26 @@ def p_gamma_s_roots(ctx):
     return float(bad)
 
 
+# (s, T) pairs of the cone-integral check: the five acceptance
+# configurations and one complex exponent
+P2_CONFIGS = (
+    (2.0, ((1.0, 0.0), (0.0, 1.0))),
+    (3.0, ((1.0, 0.0), (0.0, 2.0))),
+    (2.5, ((2.0, 1.0), (1.0, 3.0))),
+    (4.0, ((3.0, -1.0), (-1.0, 2.0))),
+    (3.5, ((1.0, 0.5), (0.5, 2.0))),
+    (2.5 + 0.4j, ((1.0, 0.0), (0.0, 1.0))),
+)
+
+
 def p_p2_cubature(ctx):
-    numeric, closed = p2_integral_check(2.0, np.eye(2), rel_tol=1e-4)
-    resid = abs(numeric - closed) / abs(closed)
-    if abs(closed - math.pi / 2) > 1e-10:
+    """Largest relative residual of the cone integral over P2_CONFIGS."""
+    results = [p2_integral_check(s, T, rel_tol=1e-4) for s, T in P2_CONFIGS]
+    # the first configuration is (2, I), whose closed form is pi/2
+    if abs(results[0][1] - math.pi / 2) > 1e-10:
         return 1.0
-    return resid
+    return max(abs(numeric - closed) / abs(closed)
+               for numeric, closed in results)
 
 
 def p_reflection_algebra(ctx):

@@ -126,8 +126,9 @@ def _fiber_plan(space: Space, pq):
     return plan, est
 
 
-def _fiber(space: Space, pq, cap: int) -> np.ndarray:
-    """All S1-isotropic integer vectors v with psi(v) = pq, as int64 rows.
+def _fiber(space: Space, pq, plan, cap: int) -> np.ndarray:
+    """All S1-isotropic integer vectors v with psi(v) = pq, as int64 rows,
+    built along the (u, w, t) shells of _fiber_plan(space, pq).
 
     Parameterized by u = a - b, w = c - d (parity fixed by pq) and lattice
     vectors of norm t = (|pq|^2 - u^2 - w^2) / 2; the construction makes
@@ -135,11 +136,6 @@ def _fiber(space: Space, pq, cap: int) -> np.ndarray:
     """
     L = space.L
     p, q = pq
-    plan, est = _fiber_plan(space, pq)
-    if est > 3.0 * cap:
-        raise BudgetExceeded(
-            f"estimated fiber size {est:.2e} for psi-image {pq} "
-            f"exceeds the enumeration cap", int(est), cap)
     blocks, size = [], 0
     for u, w, t in plan:
         if t:
@@ -187,14 +183,17 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     """Class dict {canonical rows: detR} at the base-point majorant."""
     limit = B * (1.0 + REL_EPS) + REL_EPS
     Dmax = math.isqrt(int(limit))
-    # cheap whole-run feasibility scan before any fiber is built
+    # cheap whole-run feasibility scan before any fiber is built; each
+    # fiber is at most est_total <= 3 cap, so none needs its own estimate
     est_total, t_max = 0.0, 0
+    pairs = []
     for D in range(1, Dmax + 1):
-        for pair in _index_sublattices(D):
+        for pvec, rvec in _index_sublattices(D):
             (plan1, est1), (plan2, est2) = (_fiber_plan(space, pq)
-                                            for pq in pair)
+                                            for pq in (pvec, rvec))
             est_total += est1 * est2
             t_max = max(t_max, *(t for _, _, t in plan1 + plan2))
+            pairs.append((D, pvec, plan1, rvec, plan2))
     if est_total > 3.0 * cap:
         raise BudgetExceeded(
             f"estimated candidate pair count {est_total:.2e} over image "
@@ -205,27 +204,26 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     half_ball(space.L, t_max)
     found: dict = {}
     pair_budget = 0
-    for D in range(1, Dmax + 1):
-        for pvec, rvec in _index_sublattices(D):
-            A1 = _fiber(space, pvec, cap)
-            A2 = _fiber(space, rvec, cap)
-            pair_budget += A1.shape[0] * A2.shape[0]
-            if pair_budget > cap:
-                raise BudgetExceeded(
-                    f"candidate pair count for image index {D} exceeds cap",
-                    pair_budget, cap)
-            dt = _s1_dtype(space, A1, A2)
-            right = (np.array(space.S1_int, dtype=dt)
-                     @ A2.T.astype(dt, copy=False))
-            chunk = max(1, 4_000_000 // max(1, A2.shape[0]))
-            for lo in range(0, A1.shape[0], chunk):
-                block = A1[lo:lo + chunk].astype(dt, copy=False) @ right
-                i, j = np.nonzero(block == 0)
-                for s in range(0, i.size, PAIR_SLICE):
-                    ii, jj = lo + i[s:s + PAIR_SLICE], j[s:s + PAIR_SLICE]
-                    _add_classes(found, A1[ii], A2[jj],
-                                 np.full(ii.size, float(D * D)),
-                                 primitive_only)
+    for D, pvec, plan1, rvec, plan2 in pairs:
+        A1 = _fiber(space, pvec, plan1, cap)
+        A2 = _fiber(space, rvec, plan2, cap)
+        pair_budget += A1.shape[0] * A2.shape[0]
+        if pair_budget > cap:
+            raise BudgetExceeded(
+                f"candidate pair count for image index {D} exceeds cap",
+                pair_budget, cap)
+        dt = _s1_dtype(space, A1, A2)
+        right = (np.array(space.S1_int, dtype=dt)
+                 @ A2.T.astype(dt, copy=False))
+        chunk = max(1, 4_000_000 // max(1, A2.shape[0]))
+        for lo in range(0, A1.shape[0], chunk):
+            block = A1[lo:lo + chunk].astype(dt, copy=False) @ right
+            i, j = np.nonzero(block == 0)
+            for s in range(0, i.size, PAIR_SLICE):
+                ii, jj = lo + i[s:s + PAIR_SLICE], j[s:s + PAIR_SLICE]
+                _add_classes(found, A1[ii], A2[jj],
+                             np.full(ii.size, float(D * D)),
+                             primitive_only)
     return found
 
 

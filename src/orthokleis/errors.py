@@ -98,4 +98,11 @@ class PoleAt(OrthokleisError):
 
 
 class QuadratureBudget(OrthokleisError):
-    """Adaptive cubature could not reach the target within its budget."""
+    """A certified quadrature could not reach the requested tolerance.
+
+    Raised by ``p2_integral_check`` when, at the finest rule of its fixed
+    ladder, the certificate (gap between successive rules, plus the tail
+    bound, plus the summation rounding bound) still exceeds
+    ``rel_tol * |closed|``, or when the closed form is outside double
+    range.
+    """

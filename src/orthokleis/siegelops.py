@@ -198,12 +198,6 @@ def sp2_act(g: SpElement, Z: SiegelPoint):
 
 # ------------------------------------------------- differential operators
 
-def d_dz(f: ExpPoly, entry: int) -> ExpPoly:
-    if entry not in (1, 2, 3):
-        raise ValueError("entry index must be 1, 2 or 3")
-    return f.dz(entry)
-
-
 def det_dz(f: ExpPoly) -> ExpPoly:
     return f.det_dz()
 
@@ -256,11 +250,6 @@ def r0_star(f: ExpPoly, r: int) -> ExpPoly:
     _require_x_free(f)
     g = f.det_dy().mul_det_power(1 + 2 * r).det_dy().mul_det_power(2 - r)
     return g
-
-
-def r0_op(f: ExpPoly, r: int) -> ExpPoly:
-    """The normalized form (det Y)^{-(1+r)} R0*."""
-    return r0_star(f, r).mul_det_power(-(1 + r))
 
 
 def maass_on_det_power(alpha, u) -> Fraction:

@@ -7,9 +7,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import roots_jacobi
 
 from orthokleis.assembly import (
     CompletedSeriesFactors,
+    _gauss_jacobi,
     bernoulli_number,
     completed_dirichlet,
     completed_e8_eisenstein,
@@ -188,6 +192,79 @@ class TestConeIntegral:
     def test_budget_guard(self):
         with pytest.raises(QuadratureBudget):
             p2_integral_check(2.0, [[1, 0], [0, 1]], rel_tol=1e-13)
+
+
+class TestConeIntegralCertificate:
+    """The nested-rule certificate: refusals, an oracle over positive
+    definite T, and the certificate against the true error."""
+
+    CONFIGS = [
+        (2.0, [[1, 0], [0, 1]]),
+        (3.0, [[1, 0], [0, 2]]),
+        (2.5, [[2, 1], [1, 3]]),
+        (4.0, [[3, -1], [-1, 2]]),
+        (3.5, [[1, 0.5], [0.5, 2]]),
+    ]
+
+    def test_oscillating_exponent_refused(self):
+        with pytest.raises(QuadratureBudget):
+            p2_integral_check(2 + 30j, [[1, 0], [0, 1]])
+
+    def test_near_singular_form_refused(self):
+        with pytest.raises(QuadratureBudget):
+            p2_integral_check(2.0, [[1, 0.999], [0.999, 1]])
+
+    def test_rounding_floor_refused(self):
+        for s, T in self.CONFIGS:
+            with pytest.raises(QuadratureBudget):
+                p2_integral_check(s, T, rel_tol=1e-14)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_closed_form_overflow_refused(self):
+        with pytest.raises(QuadratureBudget):
+            p2_integral_check(100.0, [[1, 0], [0, 1]])
+
+    def test_acceptance_configurations_to_full_precision(self):
+        for s, T in self.CONFIGS:
+            num, closed = p2_integral_check(s, T)
+            assert abs(num - closed) <= 1e-12 * abs(closed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.01, 3), st.floats(0.01, 3),
+           st.floats(-1, 1, exclude_min=True, exclude_max=True),
+           st.floats(0.6, 8))
+    def test_oracle_positive_definite(self, t1, t2, r, s):
+        t3 = r * math.sqrt(0.9 * t1 * t2)
+        num, closed = p2_integral_check(s, [[t1, t3], [t3, t2]], rel_tol=1e-8)
+        assert abs(num - closed) <= 1e-8 * abs(closed)
+
+    def test_certificate_bounds_error_complex_exponent(self):
+        # (1-u^2)^{0.4i} is not smooth at u = +-1, so the rungs converge
+        # slowly and the gap is far from zero: each accepted answer must
+        # still lie within the tolerance it was accepted for.
+        s, T = 2.5 + 0.4j, [[1, 0], [0, 1]]
+        accepted = []
+        for rel_tol in (1e-3, 2e-5, 1e-5, 1e-6, 1e-7, 1e-9, 1e-12):
+            try:
+                num, closed = p2_integral_check(s, T, rel_tol=rel_tol)
+            except QuadratureBudget:
+                continue
+            accepted.append(rel_tol)
+            assert abs(num - closed) <= rel_tol * abs(closed)
+        assert accepted == [1e-3, 2e-5, 1e-5, 1e-6, 1e-7]
+
+    @pytest.mark.parametrize("a", [-0.99, -0.9, -0.5, 0.0, 0.5, 6.5])
+    def test_gauss_jacobi_rule(self, a):
+        for n in (20, 40, 80, 160):
+            u, w = _gauss_jacobi(n, a)
+            u_ref, w_ref = roots_jacobi(n, a, a)
+            assert np.abs(u - u_ref).max() < 1e-14
+            assert abs(w.sum() / w_ref.sum() - 1) < 1e-11
+            # exact on (1-u^2)^a u^{2k}, k < n
+            for k in range(0, n, 7):
+                exact = math.exp(math.lgamma(k + 0.5) + math.lgamma(a + 1)
+                                 - math.lgamma(k + a + 1.5))
+                assert abs((w * u ** (2 * k)).sum() / exact - 1) < 1e-10
 
 
 class TestCompletedRank8:
