@@ -15,8 +15,14 @@ class has a reduced basis (l, m) with R[l] <= sqrt(4B/3) and
 R[m] <= (4/3) B / R[l] (the completeness-critical constants: reduced
 bases satisfy R[l] R[m] <= (4/3) det(R[ell])), so short isotropic vectors
 are listed first and partners are enumerated inside the S1-orthogonal
-sublattice of each.  All final acceptance tests are exact or carry a
-1e-9 relative boundary guard.
+sublattice of each.  Both searches ask `ellipsoid_points` for isotropic
+points only: the short l with S1[l] = 0 in the R-ball, and for each l the
+y with (W^t S1 W)[y] = 0 in the ball of W^t R W, W a basis of the kernel
+of l^t S1.  The enumerator solves the last coordinate of that integer
+quadratic exactly instead of listing it, so no anisotropic point is held;
+the cap counts every enumeration layer and every point kept, the short
+vectors included.  All final acceptance tests are exact or carry a 1e-9
+relative boundary guard.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .errors import BudgetExceeded, ConvergenceGuard, RankDeficient
 from .intmat import (
     PAIR_SLICE,
     bareiss_det,
+    congruent_form,
     int64_fits,
     integer_kernel,
     mat_mul,
@@ -229,34 +236,22 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
 
 # ---------------------------------------------------- general majorants
 
-def _isotropy_mask(space: Space, V: np.ndarray) -> np.ndarray:
-    """S1[v] == 0 for each row v of V, exactly (python ints when the int64
-    sums could overflow).  Rows go in slices, so the products need no more
-    memory than one slice however many candidates there are."""
-    dt = _s1_dtype(space, V, V)
-    S1 = np.array(space.S1_int, dtype=dt)
-    out = np.empty(V.shape[0], dtype=bool)
-    for lo in range(0, V.shape[0], PAIR_SLICE):
-        Vs = V[lo:lo + PAIR_SLICE].astype(dt, copy=False)
-        out[lo:lo + PAIR_SLICE] = ((Vs @ S1) * Vs).sum(axis=1) == 0
-    return out
-
-
 def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
                      primitive_only: bool):
     m = space.dim + 2
     limit = B * (1.0 + REL_EPS) + REL_EPS
     B1 = math.sqrt(4.0 * B / 3.0) * (1.0 + REL_EPS)
-    stage1 = ellipsoid_points(R, B1, cap)
-    if stage1.shape[0] == 0:
+    S1_rows = space.S1_int
+    iso = ellipsoid_points(R, B1, cap, iso=S1_rows)
+    # what is held counts against the cap: the short isotropic vectors,
+    # then every partner list
+    spent = iso.shape[0]
+    if spent == 0:
         return {}
-    iso = stage1[_isotropy_mask(space, stage1)]
     # one sign per line: first nonzero coordinate positive
     lead = iso[np.arange(iso.shape[0]), (iso != 0).argmax(axis=1)]
     reps = sorted(map(tuple, iso[lead > 0].tolist()))
-    S1_rows = space.S1_int
     found: dict = {}
-    spent = 0
     # (l, partner, det2) rows waiting for the canonicaliser, in order
     pending, waiting = [], 0
     for l in reps:
@@ -266,15 +261,13 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
         row = [[sum(S1_rows[i][j] * l[i] for i in range(m)) for j in range(m)]]
         kern = integer_kernel(row)
         W = np.array(kern, dtype=np.int64).T  # columns span the kernel
-        Qk = W.T @ R @ W
-        ys = ellipsoid_points(Qk, B2, cap, spent)
+        # partners: S1-isotropic vectors of the kernel, S1[W y] = 0
+        ys = ellipsoid_points(W.T @ R @ W, B2, cap, spent,
+                              iso=congruent_form(S1_rows, W))
         spent += ys.shape[0]
-        if spent > cap:
-            raise BudgetExceeded("partner enumeration exceeded cap", spent, cap)
         if ys.shape[0] == 0:
             continue
         cands = ys @ W.T
-        cands = cands[_isotropy_mask(space, cands)]
         # stacked (1, m) products round exactly as one vector at a time
         # does, so classes of equal determinant keep their sorted order
         Cf = cands.astype(float)[:, None, :]

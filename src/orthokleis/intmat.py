@@ -295,6 +295,18 @@ def int64_fits(bound: int) -> bool:
     return bound <= INT64_MAX
 
 
+def congruent_form(S, U) -> np.ndarray:
+    """U^t S U for an integer form S (m x m) and integer U (m x k), exactly:
+    an int64 array when no partial sum can overflow it, python ints
+    (dtype object) otherwise."""
+    S, U = np.asarray(S, dtype=object), np.asarray(U, dtype=object)
+    m = S.shape[0]
+    bound = m * m * max_abs(S) * max_abs(U) ** 2
+    dt = np.int64 if int64_fits(bound) else object
+    U = U.astype(dt)
+    return U.T @ S.astype(dt) @ U
+
+
 def _xgcd(x, y):
     """(g, s, t) with s x + t y = g = gcd(x, y) > 0, elementwise over int64
     arrays with (x, y) never both zero.  Euclid runs masked over the batch;

@@ -15,6 +15,7 @@ big space as v = (a, c, x, d, b) with x of length n,
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +33,7 @@ from .errors import (
 from .intmat import (
     bareiss_det,
     column_hnf,
+    congruent_form,
     fraction_inverse,
     int64_fits,
     max_abs,
@@ -256,18 +258,99 @@ def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
 
 
 def ellipsoid_points(Q: np.ndarray, T: float, cap: int,
-                     spent: int = 0) -> np.ndarray:
+                     spent: int = 0, iso=None) -> np.ndarray:
     """All nonzero integer v with Q[v] <= T (tiny boundary slack), as an
     int64 array; LLL-preconditioned layered Fincke-Pohst, budget-guarded
-    per level against the cap - spent candidates left of the cap."""
+    per level against the cap - spent candidates left of the cap.
+
+    With an integer form `iso` (m x m, python ints or an integer array),
+    only the v with iso[v] = 0 exactly are returned, in the order the
+    plain enumeration would list them.  The form is carried exactly into
+    the reduced basis, and the last coordinate is solved, not enumerated:
+    once the others are fixed, iso[v] = a y0^2 + 2 b y0 + c has integer
+    coefficients, so at most two integer roots (or, when a = b = c = 0,
+    the whole interval) go on to the ellipsoid test.  The solved roots
+    count against the cap in place of the last layer."""
     Ured = _lll_gram(Q)
     Qred = Ured.T @ Q @ Ured
-    pts = _fp_points(Qred, T, cap, spent)
+    Sred = None if iso is None else congruent_form(iso, Ured)
+    pts = _fp_points(Qred, T, cap, spent, Sred)
     return pts @ Ured.T
 
 
-def _fp_points(Q: np.ndarray, T: float, cap: int,
-               spent: int = 0) -> np.ndarray:
+def _check_layer(i: int, total: int, cap: int, spent: int):
+    if total > cap - spent:
+        raise BudgetExceeded(
+            f"enumeration layer {i} holds {total} candidates, more than "
+            f"the {cap - spent} left of the cap {cap}", total, cap)
+
+
+def _interval_points(lo, hi, mask=None):
+    """(parent index, value) rows listing [lo[r], hi[r]] for each parent
+    r, ascending within a parent; only the parents in mask when given."""
+    counts = np.maximum(hi - lo + 1, 0)
+    if mask is not None:
+        counts = np.where(mask, counts, 0)
+    idx = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return idx, lo[idx] + np.arange(idx.size) - starts[idx]
+
+
+def _isotropic_last(S: np.ndarray, tails: np.ndarray, lo, hi, cap: int,
+                    spent: int):
+    """(parent index, y0) rows with lo <= y0 <= hi and S[(y0, tail)] = 0,
+    exactly, for the tails (y1, ..., y_{m-1}) of the layer above."""
+    m = S.shape[0]
+    big = max(max_abs(S), 1) * max(max_abs(tails), 1)
+    # bounds b^2, a c, b^2 - a c, (isqrt + 1)^2 and every partial sum
+    dt = np.int64 if int64_fits(4 * m * m * big * big) else object
+    Sd, Y = S.astype(dt), tails.astype(dt)
+    a = Sd[0, 0]
+    b = Y @ Sd[0, 1:]
+    c = ((Y @ Sd[1:, 1:]) * Y).sum(axis=1)
+    if a:
+        disc = b * b - a * c
+        real = disc >= 0
+        disc = np.where(real, disc, 0)
+        if dt is object:
+            r = np.array([math.isqrt(d) for d in disc], dtype=object)
+        else:
+            r = np.sqrt(disc.astype(float)).astype(np.int64)
+            r -= r * r > disc
+            r += (r + 1) * (r + 1) <= disc
+        num = np.stack([-b - r, -b + r], axis=1)
+        if a < 0:
+            num = num[:, ::-1]
+        ok = (real & (r * r == disc))[:, None] & (num % a == 0)
+        ok[:, 1] &= r != 0  # a double root once
+        roots = num // a
+        degenerate = None
+    else:
+        den = np.where(b != 0, 2 * b, 1)
+        ok = ((b != 0) & (c % den == 0))[:, None]
+        roots = (-c // den)[:, None]
+        degenerate = (b == 0) & (c == 0)
+    ok &= (roots >= lo.astype(dt)[:, None]) & (roots <= hi.astype(dt)[:, None])
+    roots = np.where(ok, roots, 0).astype(np.int64)
+    total = int(ok.sum())
+    if degenerate is not None:
+        total += int(np.maximum(hi - lo + 1, 0)[degenerate].sum())
+    _check_layer(0, total, cap, spent)
+    # solved roots, then the whole interval of each degenerate row, put
+    # back in parent order (a stable sort keeps each interval ascending)
+    ridx = np.nonzero(ok)[0]
+    idx, vals = ridx, roots[ok]
+    if degenerate is not None and degenerate.any():
+        didx, dvals = _interval_points(lo, hi, degenerate)
+        idx = np.concatenate([ridx, didx])
+        vals = np.concatenate([vals, dvals])
+        order = np.argsort(idx, kind="stable")
+        idx, vals = idx[order], vals[order]
+    return idx, vals
+
+
+def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
+               iso: np.ndarray | None = None) -> np.ndarray:
     m = Q.shape[0]
     U = _cholesky_upper(Q)
     tol = 1e-9 * max(T, 1.0)
@@ -281,24 +364,21 @@ def _fp_points(Q: np.ndarray, T: float, cap: int,
         rad = np.sqrt(np.maximum(rem, 0.0)) / uii
         lo = np.ceil(cen - rad - 1e-12).astype(np.int64)
         hi = np.floor(cen + rad + 1e-12).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if total > cap - spent:
-            raise BudgetExceeded(
-                f"enumeration layer {i} holds {total} candidates, more than "
-                f"the {cap - spent} left of the cap {cap}", total, cap)
-        if total == 0:
+        if i == 0 and iso is not None:
+            idx, vi = _isotropic_last(iso, tails, lo, hi, cap, spent)
+        else:
+            _check_layer(i, int(np.maximum(hi - lo + 1, 0).sum()), cap, spent)
+            idx, vi = _interval_points(lo, hi)
+        if idx.size == 0:
             return np.zeros((0, m), dtype=np.int64)
-        idx = np.repeat(np.arange(len(counts)), counts)
-        starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        offs = np.arange(total) - np.repeat(starts, counts)
-        vi = lo[idx] + offs
-        acc = acc[idx] + vi[:, None] * U[:, i][None, :]
-        sq = sq[idx] + acc[:, i] ** 2
-        keep = sq <= T + tol
+        if i:
+            acc = acc[idx] + vi[:, None] * U[:, i][None, :]
+            sq = sq[idx] + acc[:, i] ** 2
+            keep = sq <= T + tol
+            acc, sq = acc[keep], sq[keep]
+        else:  # the last layer needs only its first coordinate
+            keep = sq[idx] + (acc[idx, 0] + vi * U[0, 0]) ** 2 <= T + tol
         tails = np.hstack([vi[keep][:, None], tails[idx][keep]])
-        acc = acc[keep]
-        sq = sq[keep]
     nz = np.any(tails != 0, axis=1)
     return tails[nz]
 

@@ -5,10 +5,14 @@ Class counts were frozen from two independent enumeration algorithms
 Fincke-Pohst), which agree exactly on every case below.
 """
 
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthokleis.eisenstein import (
     class_value,
@@ -31,7 +35,13 @@ from orthokleis.errors import (
 )
 from orthokleis.lattice import is_primitive, load_gram, short_vectors
 from orthokleis.majorant import base_majorant, majorant_at
-from orthokleis.orthogroup import act, random_word, space_for
+from orthokleis.orthogroup import (
+    act,
+    builders,
+    identity_element,
+    random_word,
+    space_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -365,9 +375,9 @@ def test_partner_budget_refusal_names_remaining_and_cap(sp_a2):
 
 def test_int64_guard_takes_exact_path_for_large_gram(tmp_path):
     # with a Gram entry of 2^60 an int64 S1 product has no headroom: 2^60 x^2
-    # wraps to 0 at x = 4.  The isotropy test and the base-point pairing
+    # wraps to 0 at x = 4.  The isotropic solve and the base-point pairing
     # must run on python ints and agree with exact arithmetic.
-    from orthokleis.eisenstein import _isotropy_mask, _s1_dtype
+    from orthokleis.eisenstein import _s1_dtype
 
     spaces = {}
     for e in (40, 60):
@@ -384,10 +394,94 @@ def test_int64_guard_takes_exact_path_for_large_gram(tmp_path):
     exact = [sum(S1[i][j] * v[i] * v[j] for i in range(5) for j in range(5)) == 0
              for v in V.tolist()]
     assert exact == [False, True, True, False, True]
-    assert _isotropy_mask(sp, V).tolist() == exact
+    iso = ellipsoid_points(np.eye(5), 34.0, 10 ** 6, iso=S1)
+    got = set(map(tuple, iso.tolist()))
+    assert [tuple(v) in got for v in V.tolist()] == exact
     # below B = 2^40 no class involves the lattice coordinate, so the exact
     # path at 2^60 must reproduce the int64 path at 2^40 class for class
     got = enumerate_isotropic_classes(sp, base_majorant(sp), 9.0)
     ref = enumerate_isotropic_classes(spaces[40], base_majorant(spaces[40]), 9.0)
     assert [(c.ell, c.detR) for c in got] == [(c.ell, c.detR) for c in ref]
     assert len(got) > 0
+
+
+def _moved_point(space, word):
+    """The majorant at g<base> for g the product of the (kind, params)
+    letters of word, and g."""
+    g = identity_element(space)
+    for kind, params in word:
+        g = g @ builders(space, kind, **params)
+    return majorant_at(space, act(g, space.base_point())), g
+
+
+def test_general_path_e8_b9_matches_base_path(sp_e8):
+    # the whole R-ball at this point holds more candidates than the
+    # default cap; with the last coordinate solved the general path fits
+    # and finds the base path's classes, moved by g
+    R_W, g = _moved_point(sp_e8, [
+        ("translation", {"lam": [-1, 1, -1, 0, -1, 0, 0, 0, 1, 0]}),
+        ("heisenberg", {"x": [-1, -1, 0, -1, 0, 0, 1, -1],
+                        "y": [1, 0, 0, 1, -1, 1, -1, 0]})])
+    moved = enumerate_isotropic_classes(sp_e8, R_W, 9.0)
+    base = enumerate_isotropic_classes(sp_e8, base_majorant(sp_e8), 9.0)
+    assert len(moved) == len(base) == 20168
+    transported = {c.ell: c.detR
+                   for c in transport_classes(sp_e8, base, g, R_W)}
+    assert {c.ell for c in moved} == set(transported)
+    assert all(abs(c.detR - transported[c.ell]) <= 1e-9 * c.detR
+               for c in moved)
+
+
+@st.composite
+def even_gram_text(draw):
+    """A Gram file: A^t A + diag(c) of rank 1-3 with an even diagonal."""
+    n = draw(st.integers(1, 3))
+    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                      min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    S = [[sum(A[k][i] * A[k][j] for k in range(n)) for j in range(n)]
+         for i in range(n)]
+    for i in range(n):
+        S[i][i] += 2 * extra[i] + (1 if S[i][i] % 2 else 2)
+    return f"{n}\n" + "\n".join(" ".join(map(str, r)) for r in S) + "\n"
+
+
+@settings(max_examples=30, deadline=None)
+@given(even_gram_text(), st.sampled_from([1.0, 2.0, 4.0, 9.0, 12.0]))
+def test_general_path_matches_base_path_off_catalog(text, B):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lattice.gram"
+        path.write_text(text)
+        sp = space_for(load_gram(str(path)))
+    R = base_majorant(sp)
+    base = enumerate_isotropic_classes(sp, R, B)
+    general = enumerate_isotropic_classes(sp, R, B, _force_general=True)
+    assert {c.ell for c in general} == {c.ell for c in base}
+    assert np.allclose(sorted(c.detR for c in general),
+                       sorted(c.detR for c in base), rtol=1e-9)
+
+
+def test_general_path_enumerates_only_isotropic_points(sp_a2, monkeypatch):
+    # at A2 B=100 the 237 whole R-balls hold 3828234 points, of which
+    # 69440 are isotropic; only those come back
+    import orthokleis.eisenstein as eis
+
+    calls = []
+
+    def counted(Q, T, cap, spent=0, iso=None):
+        assert iso is not None
+        pts = ellipsoid_points(Q, T, cap, spent, iso=iso)
+        S = np.array(iso, dtype=object)
+        Y = pts.astype(object)
+        isotropic = bool((((Y @ S) * Y).sum(axis=1) == 0).all())
+        calls.append((pts.shape[0], isotropic))
+        return pts
+
+    R_W, _ = _moved_point(sp_a2, [
+        ("translation", {"lam": [0, 0, 1, -1]}),
+        ("heisenberg", {"x": [1, 1], "y": [1, 0]})])
+    monkeypatch.setattr(eis, "ellipsoid_points", counted)
+    assert len(enumerate_isotropic_classes(sp_a2, R_W, 100.0)) == 2472
+    assert len(calls) == 237
+    assert sum(n for n, _ in calls) == 69440
+    assert all(ok for _, ok in calls)

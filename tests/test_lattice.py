@@ -20,7 +20,9 @@ from orthokleis.lattice import (
     CATALOG,
     bordered_forms,
     canonical_columns,
+    ellipsoid_points,
     find_norm2_vector,
+    half_ball,
     is_primitive,
     level,
     load_gram,
@@ -296,13 +298,16 @@ def test_catalog_all_valid():
 
 
 @st.composite
-def even_gram(draw):
+def even_gram(draw, ranks=(1, 4), entry=2):
     """A^t A + diag(c) with c >= 1 of the parity that makes the diagonal
-    even: positive definite, off-diagonal entries of either parity."""
-    n = draw(st.integers(1, 4))
-    A = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+    even: positive definite (indeed >= I), off-diagonal entries of either
+    parity.  A's entries and the extra diagonal lie in [-entry, entry]
+    and [0, entry]."""
+    n = draw(st.integers(*ranks))
+    A = draw(st.lists(st.lists(st.integers(-entry, entry), min_size=n,
+                               max_size=n),
                       min_size=n, max_size=n))
-    extra = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, entry), min_size=n, max_size=n))
     S = [[sum(A[k][i] * A[k][j] for k in range(n)) for j in range(n)]
          for i in range(n)]
     for i in range(n):
@@ -350,3 +355,80 @@ def test_norms_stay_exact_beyond_int64():
     # an entry int64 cannot hold at all
     vecs, _ = short_vectors(validate_gram([[2 ** 64]]), 2 ** 64)
     assert [tuple(int(c) for c in v) for v in vecs] == [(1,)]
+
+
+def _box(n, r):
+    """Every integer vector of [-r, r]^n, one per row."""
+    return np.indices((2 * r + 1,) * n).reshape(n, -1).T - r
+
+
+@settings(max_examples=25, deadline=None)
+@given(even_gram(ranks=(5, 8), entry=1), st.integers(0, 6))
+def test_half_ball_against_box_scan_high_rank(lat, bound):
+    # S >= I, so each coordinate of the ball is at most isqrt(bound)
+    S = lat.gram_np()
+    X = _box(lat.n, math.isqrt(bound))
+    norms = ((X @ S) * X).sum(axis=1)
+    inside = (norms > 0) & (norms <= bound)
+    X, norms = X[inside], norms[inside]
+    lead = X[np.arange(X.shape[0]), (X != 0).argmax(axis=1)]
+    X, norms = X[lead > 0], norms[lead > 0]
+    order = np.lexsort((*X.T[::-1], norms))
+    got, got_norms = half_ball(lat, bound)
+    assert np.array_equal(got, X[order])
+    assert np.array_equal(got_norms, norms[order])
+
+
+@st.composite
+def isotropic_problem(draw):
+    """(Q, S, T): a positive integer form Q >= I, a symmetric integer form
+    S of the same size, and a bound T.  A nondecreasing diagonal Q is
+    already LLL-reduced, so S's first row is the solved coordinate's:
+    S[0][0] = 0 gives the linear case, a zero first row the rows with
+    a = b = c = 0."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        Q = np.diag(sorted(draw(st.lists(st.integers(1, 4), min_size=n,
+                                         max_size=n))))
+    else:
+        A = np.array(draw(st.lists(st.lists(st.integers(-2, 2), min_size=n,
+                                            max_size=n),
+                                   min_size=n, max_size=n)))
+        Q = A.T @ A + np.eye(n, dtype=np.int64)
+    entries = draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                            max_size=n * n))
+    S = np.array(entries).reshape(n, n)
+    S = S + S.T
+    first = draw(st.sampled_from(["any", "a=0", "row=0"]))
+    if first != "any":
+        S[0, 0] = 0
+    if first == "row=0":
+        S[0, :] = S[:, 0] = 0
+    return Q, S, draw(st.integers(0, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(isotropic_problem())
+def test_isotropic_points_against_box_scan(problem):
+    Q, S, T = problem
+    Y = _box(Q.shape[0], math.isqrt(T))
+    keep = ((((Y @ Q) * Y).sum(axis=1) <= T) & (((Y @ S) * Y).sum(axis=1) == 0)
+            & Y.any(axis=1))
+    got = ellipsoid_points(Q.astype(float), float(T), 10 ** 6, iso=S.tolist())
+    assert (sorted(map(tuple, got.tolist()))
+            == sorted(map(tuple, Y[keep].tolist())))
+    # the plain enumeration, filtered, in its own order
+    plain = ellipsoid_points(Q.astype(float), float(T), 10 ** 6)
+    assert np.array_equal(got, plain[((plain @ S) * plain).sum(axis=1) == 0])
+
+
+def test_isotropic_roots_exact_beyond_int64():
+    # S[y] = y0 (y0 + 2^33 y1): at y1 = +-1 the discriminant b^2 - a c is
+    # 2^64, past int64, and the root -2^33 y1 sits on the ellipsoid's
+    # boundary.  The last coordinate spans about 7e10 integers at y1 = 0,
+    # so the answer within a cap of 10 shows it is solved, not enumerated.
+    K = 2 ** 32
+    Q = np.diag([1.0, 2.0 ** 70])
+    got = ellipsoid_points(Q, 2.0 ** 66 + 2.0 ** 70, 10, iso=[[1, K], [K, 0]])
+    assert sorted(map(tuple, got.tolist())) == [
+        (-2 * K, 1), (0, -1), (0, 1), (2 * K, -1)]
