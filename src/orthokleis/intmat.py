@@ -9,7 +9,9 @@ minors folded into one gcd, then a two-row Hermite form by extended
 Euclid).  int64 is used only under a headroom rule: every intermediate
 value is bounded in advance from the largest |entry| of the input (see
 `int64_fits`), and a batch that could overflow goes through the exact
-python path instead.  Nothing wraps silently.
+python path instead.  Nothing wraps silently.  `quad_rows`, an integer
+quadratic form on a stack of integer rows, follows the same rule with
+float64 as a cheaper first tier.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from math import gcd
 import numpy as np
 
 INT64_MAX = 2**63 - 1
+FLOAT64_EXACT = 2**53  # every integer of smaller absolute value is a float64
 # candidate pairs per rank2_column_hnf call in the enumerators: keeps the
 # kernel's int64 working set at a few MB however many pairs there are
 PAIR_SLICE = 8192
@@ -293,6 +296,23 @@ def max_abs(A) -> int:
 def int64_fits(bound: int) -> bool:
     """True when a value bounded by `bound` in absolute value is an int64."""
     return bound <= INT64_MAX
+
+
+def quad_rows(A, Y) -> np.ndarray:
+    """A[y] = y^t A y for an integer form A (k x k) and each row y of the
+    integer array Y, exactly.  Every partial sum is bounded in absolute
+    value by k^2 max|A| max|y|^2: below 2^53 float64 matmuls are exact
+    (each partial sum is an integer float64 holds), below 2^63 int64 ones
+    are, and past that the sums run on python ints.  Returns an int64
+    array, or dtype object on the python-int route."""
+    A, Y = np.asarray(A, dtype=object), np.asarray(Y)
+    bound = A.shape[0] ** 2 * max_abs(A) * max_abs(Y) ** 2
+    if bound < FLOAT64_EXACT:
+        Yf = Y.astype(float)
+        return ((Yf @ A.astype(float)) * Yf).sum(axis=1).astype(np.int64)
+    dt = np.int64 if int64_fits(bound) else object
+    Yd = Y.astype(dt)
+    return ((Yd @ A.astype(dt)) * Yd).sum(axis=1)
 
 
 def congruent_form(S, U) -> np.ndarray:

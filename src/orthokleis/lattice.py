@@ -38,6 +38,7 @@ from .intmat import (
     int64_fits,
     max_abs,
     minors_gcd,
+    quad_rows,
     snf_diagonal,
 )
 
@@ -257,11 +258,26 @@ def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return U
 
 
-def ellipsoid_points(Q: np.ndarray, T: float, cap: int,
-                     spent: int = 0, iso=None) -> np.ndarray:
+def reduced_ellipsoid_points(Q: np.ndarray, T: float, cap: int,
+                             spent: int = 0, iso=None, half: bool = False):
+    """(U, Y): an LLL basis U of Q (unimodular int64, its columns the
+    basis vectors) and, as int64 rows, the points y in that basis of the
+    v = U y that `ellipsoid_points` returns with the same arguments.
+    Callers that only need forms of v evaluate them on y with U^t A U."""
+    U = _lll_gram(Q)
+    Sred = None if iso is None else congruent_form(iso, U)
+    return U, _fp_points(U.T @ Q @ U, T, cap, spent, Sred, half)
+
+
+def ellipsoid_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
+                     iso=None, half: bool = False) -> np.ndarray:
     """All nonzero integer v with Q[v] <= T (tiny boundary slack), as an
     int64 array; LLL-preconditioned layered Fincke-Pohst, budget-guarded
     per level against the cap - spent candidates left of the cap.
+
+    With half=True only one v of each pair {v, -v} is returned (the one
+    whose last nonzero coordinate in the LLL basis is positive), and each
+    layer counts only the candidates of that half against the cap.
 
     With an integer form `iso` (m x m, python ints or an integer array),
     only the v with iso[v] = 0 exactly are returned, in the order the
@@ -271,11 +287,8 @@ def ellipsoid_points(Q: np.ndarray, T: float, cap: int,
     coefficients, so at most two integer roots (or, when a = b = c = 0,
     the whole interval) go on to the ellipsoid test.  The solved roots
     count against the cap in place of the last layer."""
-    Ured = _lll_gram(Q)
-    Qred = Ured.T @ Q @ Ured
-    Sred = None if iso is None else congruent_form(iso, Ured)
-    pts = _fp_points(Qred, T, cap, spent, Sred)
-    return pts @ Ured.T
+    U, Y = reduced_ellipsoid_points(Q, T, cap, spent, iso, half)
+    return Y @ U.T
 
 
 def _check_layer(i: int, total: int, cap: int, spent: int):
@@ -350,7 +363,13 @@ def _isotropic_last(S: np.ndarray, tails: np.ndarray, lo, hi, cap: int,
 
 
 def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
-               iso: np.ndarray | None = None) -> np.ndarray:
+               iso: np.ndarray | None = None,
+               half: bool = False) -> np.ndarray:
+    """The nonzero y with Q[y] <= T, level m-1 first; rows are listed by
+    parent, each parent's values ascending.  With half=True a level whose
+    tail (the coordinates above it) is all zero starts at 0, not below:
+    that keeps the y whose last nonzero coordinate is positive, one of
+    each pair {y, -y}."""
     m = Q.shape[0]
     U = _cholesky_upper(Q)
     tol = 1e-9 * max(T, 1.0)
@@ -364,6 +383,11 @@ def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
         rad = np.sqrt(np.maximum(rem, 0.0)) / uii
         lo = np.ceil(cen - rad - 1e-12).astype(np.int64)
         hi = np.floor(cen + rad + 1e-12).astype(np.int64)
+        if half:
+            # row 0 carries the all-zero tail: rows list their parents in
+            # order, and the clipped interval of the row 0 above starts
+            # at the child 0, which lies inside whatever ball is nonempty
+            lo[0] = max(lo[0], 0)
         if i == 0 and iso is not None:
             idx, vi = _isotropic_last(iso, tails, lo, hi, cap, spent)
         else:
@@ -394,21 +418,13 @@ def _enumerate_ball(L: GramLattice, bound: int):
     # the float factor comes from the exact rows: gram_np() refuses
     # entries of 2^63 and more
     pts = ellipsoid_points(np.array(L.S, dtype=float), float(bound),
-                           DEFAULT_CAP)
+                           DEFAULT_CAP, half=True)
     lead = pts[np.arange(pts.shape[0]), (pts != 0).argmax(axis=1)]
     X = np.where((lead < 0)[:, None], -pts, pts)
-    # exact norms: int64 when no partial sum can overflow it
-    big = max(abs(e) for row in L.S for e in row)
-    dt = np.int64 if int64_fits(L.n ** 2 * big * max_abs(X) ** 2) else object
-    Xd = X.astype(dt, copy=False)
-    norms = ((Xd @ np.array(L.S, dtype=dt)) * Xd).sum(axis=1)
+    norms = quad_rows(L.S, X)
     X, norms = X[norms <= bound], norms[norms <= bound]
     order = np.lexsort((*X.T[::-1], norms))
     X, norms = X[order], norms[order]
-    # x and -x, both enumerated, are now one row twice, adjacent
-    new = np.ones(X.shape[0], dtype=bool)
-    new[1:] = (X[1:] != X[:-1]).any(axis=1)
-    X, norms = X[new], norms[new]
     X.flags.writeable = norms.flags.writeable = False
     return X, norms
 

@@ -11,7 +11,12 @@ which is the decay exponent itself: intrinsic, and equivariant under the
 integral orthogonal group, so invariance tests hold exactly at matched
 truncation.  Enumeration runs over the Kronecker form Y x R on stacked
 column pairs, once per report: `theta_report` takes the value and the term
-count from the same enumerated terms.  The factored diagonal path counts
+count from the same enumerated terms.  The terms at ell and -ell are
+equal, so the enumeration lists one row per pair and the sum is doubled.
+The rows are evaluated in the LLL basis the enumeration reduced to, never
+mapped back: the phase forms are carried into that basis exactly and
+evaluated on the integer rows with float64 matmuls where a headroom bound
+shows them exact (`intmat.quad_rows`).  The factored diagonal path counts
 lattice shells by a bincount over one cached ball of the lattice
 (`lattice.half_ball`), enumerated at the largest norm it needs.
 
@@ -31,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .lattice import DEFAULT_CAP, ellipsoid_points, half_ball
+from .intmat import congruent_form, quad_rows
+from .lattice import DEFAULT_CAP, half_ball, reduced_ellipsoid_points
 from .majorant import base_majorant, majorant_at
 from .orthogroup import Space, TubePoint
 
@@ -71,26 +77,23 @@ class ThetaQuery:
 
 def _term_data(q: ThetaQuery):
     """(truncated sum, number of nonzero terms) from one enumeration of
-    the column pairs with tr(R_W[ell] Y) <= B."""
-    space = q.space
-    m = space.dim + 2
-    R = majorant_at(space, q.W)
-    Q = np.kron(q.Y, R)
-    pts = ellipsoid_points(Q, q.B, q.cap)
-    S1 = np.array(space.S1_int, dtype=np.int64)
-    A1 = pts[:, :m]
-    A2 = pts[:, m:]
-    s11 = np.einsum("ij,jk,ik->i", A1, S1, A1)
-    s12 = np.einsum("ij,jk,ik->i", A1, S1, A2)
-    s22 = np.einsum("ij,jk,ik->i", A2, S1, A2)
-    r11 = np.einsum("ij,jk,ik->i", A1.astype(float), R, A1.astype(float))
-    r12 = np.einsum("ij,jk,ik->i", A1.astype(float), R, A2.astype(float))
-    r22 = np.einsum("ij,jk,ik->i", A2.astype(float), R, A2.astype(float))
-    X, Y = q.X, q.Y
-    phase = s11 * X[0, 0] + 2.0 * s12 * X[0, 1] + s22 * X[1, 1]
-    decay = r11 * Y[0, 0] + 2.0 * r12 * Y[0, 1] + r22 * Y[1, 1]
+    the column pairs with tr(R_W[ell] Y) <= B, one per pair {ell, -ell}.
+
+    The rows stay in the LLL basis U of the enumeration, ell = U y: the
+    decay is Qred[y] with Qred = U^t Q U, and the phase pairs X with the
+    three integer forms U^t (E_ij x S1) U, carried exactly."""
+    Q = np.kron(q.Y, majorant_at(q.space, q.W))
+    U, rows = reduced_ellipsoid_points(Q, q.B, q.cap, half=True)
+    S1 = np.array(q.space.S1_int, dtype=object)
+    s11, s12x2, s22 = (
+        quad_rows(congruent_form(np.kron(E, S1), U), rows).astype(float)
+        for E in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+    Yf = rows.astype(float)
+    decay = ((Yf @ (U.T @ Q @ U)) * Yf).sum(axis=1)
+    X = q.X
+    phase = s11 * X[0, 0] + s12x2 * X[0, 1] + s22 * X[1, 1]
     vals = np.exp(1j * math.pi * phase - math.pi * decay)
-    return 1.0 + complex(vals.sum()), pts.shape[0]
+    return 1.0 + 2.0 * complex(vals.sum()), 2 * rows.shape[0]
 
 
 def theta_truncated(q: ThetaQuery) -> complex:

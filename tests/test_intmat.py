@@ -1,13 +1,17 @@
 """The batched rank-2 canonicaliser against the single-matrix oracles."""
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokleis.intmat import (
+    FLOAT64_EXACT,
     INT64_MAX,
     column_hnf,
     minors_gcd,
+    quad_rows,
     rank2_column_hnf,
     row_hnf_transform,
 )
@@ -105,3 +109,51 @@ def test_kernel_empty_batch():
     g, H = rank2_column_hnf(np.zeros((0, 4), dtype=np.int64),
                             np.zeros((0, 4), dtype=np.int64))
     assert g.shape == (0,) and H.shape == (0, 4, 2)
+
+
+def _quad_oracle(A, Y):
+    return [sum(y[i] * A[i][j] * y[j] for i in range(len(y))
+                for j in range(len(y))) for y in Y]
+
+
+def test_quad_rows_headroom_boundaries():
+    """Rows placed just inside and just past the float64 (2^53) and int64
+    (2^63) bounds on k^2 max|A| max|y|^2: every route is exact, and the
+    result is int64 up to 2^63 and python ints past it."""
+    rng = np.random.default_rng(11)
+    for limit, dtype_past in ((FLOAT64_EXACT, np.int64),
+                              (INT64_MAX + 1, object)):
+        for k in (1, 3, 6):
+            a = 7
+            A = rng.integers(-a, a + 1, size=(k, k))
+            A = A + A.T
+            A[0, 0] = 2 * a  # max|A| = 2a
+            c = k * k * 2 * a
+            inside = math.isqrt((limit - 1) // c)
+            assert c * inside ** 2 < limit <= c * (inside + 1) ** 2
+            for ymax, dtype in ((inside, np.int64), (inside + 1, dtype_past)):
+                Y = rng.integers(-ymax, ymax + 1, size=(50, k)).tolist()
+                Y += [[ymax] * k, [-ymax] + [ymax] * (k - 1),
+                      [ymax] + [0] * (k - 1)]
+                Y = np.array(Y, dtype=np.int64)
+                got = quad_rows(A, Y)
+                assert got.dtype == dtype
+                assert got.tolist() == _quad_oracle(A.tolist(), Y.tolist())
+
+
+def test_quad_rows_values_past_float64_and_int64():
+    # (2^27 + 1)^2 = 2^54 + 2^28 + 1 rounds in float64
+    y = 2 ** 27 + 1
+    got = quad_rows([[1, 0], [0, 1]], np.array([[y, 0], [y, 1]]))
+    assert got.dtype == np.int64 and got.tolist() == [y * y, y * y + 1]
+    # 3037000500^2 is past INT64_MAX; an entry of 2^64 is no int64 at all
+    got = quad_rows([[1]], np.array([[3037000499], [3037000500]]))
+    assert got.dtype == object
+    assert got.tolist() == [3037000499 ** 2, 3037000500 ** 2]
+    assert quad_rows([[2 ** 64]], np.array([[1], [-2]])).tolist() == [
+        2 ** 64, 2 ** 66]
+
+
+def test_quad_rows_empty():
+    got = quad_rows([[2, 1], [1, 2]], np.zeros((0, 2), dtype=np.int64))
+    assert got.dtype == np.int64 and got.shape == (0,)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthokleis.errors import NotEven, NotPositiveDefinite, NotSymmetric, RankDeficient
+from orthokleis.errors import (
+    BudgetExceeded,
+    NotEven,
+    NotPositiveDefinite,
+    NotSymmetric,
+    RankDeficient,
+)
 from orthokleis.intmat import (
     bareiss_det,
     column_hnf,
@@ -26,6 +32,7 @@ from orthokleis.lattice import (
     is_primitive,
     level,
     load_gram,
+    reduced_ellipsoid_points,
     short_vectors,
     so_order_bruteforce,
     validate_gram,
@@ -432,3 +439,46 @@ def test_isotropic_roots_exact_beyond_int64():
     got = ellipsoid_points(Q, 2.0 ** 66 + 2.0 ** 70, 10, iso=[[1, K], [K, 0]])
     assert sorted(map(tuple, got.tolist())) == [
         (-2 * K, 1), (0, -1), (0, 1), (2 * K, -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(even_gram(), even_gram(ranks=(5, 8), entry=1)),
+       st.integers(0, 8))
+def test_half_enumeration_one_of_each_pair(lat, bound):
+    Q = lat.gram_np().astype(float)
+    U, Y = reduced_ellipsoid_points(Q, float(bound), 10 ** 6, half=True)
+    half = ellipsoid_points(Q, float(bound), 10 ** 6, half=True)
+    assert np.array_equal(half, Y @ U.T)
+    # the last nonzero coordinate in the LLL basis is the positive one
+    assert all([c for c in y if c][-1] > 0 for y in Y.tolist())
+    rows = set(map(tuple, half.tolist()))
+    negs = {tuple(-c for c in r) for r in rows}
+    assert len(rows) == half.shape[0] and not rows & negs
+    plain = ellipsoid_points(Q, float(bound), 10 ** 6)
+    assert rows | negs == set(map(tuple, plain.tolist()))
+    assert 2 * half.shape[0] == plain.shape[0]
+
+
+def test_half_enumeration_budget_message():
+    # the half ball of x^2 + y^2 <= 4 starts its top layer at 0: three
+    # candidates (the plain enumeration has five)
+    msg = ("enumeration layer 1 holds 3 candidates, more than the 2 left "
+           "of the cap 2")
+    with pytest.raises(BudgetExceeded, match=f"^{msg}$") as ei:
+        ellipsoid_points(np.eye(2), 4.0, 2, half=True)
+    assert (ei.value.count, ei.value.cap) == (3, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(even_gram(), even_gram(ranks=(5, 8), entry=1)),
+       st.integers(2, 8))
+def test_half_enumeration_cap_too_small(lat, bound):
+    # the last layer holds every returned row and the zero vector, so a
+    # cap of the row count is too small
+    Q = lat.gram_np().astype(float)
+    k = ellipsoid_points(Q, float(bound), 10 ** 6, half=True).shape[0]
+    if k:
+        msg = (r"^enumeration layer \d+ holds \d+ candidates, more than "
+               rf"the {k} left of the cap {k}$")
+        with pytest.raises(BudgetExceeded, match=msg):
+            ellipsoid_points(Q, float(bound), k, half=True)

@@ -12,9 +12,17 @@ import numpy as np
 import pytest
 
 from orthokleis.errors import BudgetExceeded
-from orthokleis.lattice import load_gram
+from orthokleis.lattice import ellipsoid_points, load_gram
 from orthokleis.majorant import base_majorant, majorant_at
-from orthokleis.orthogroup import TubePoint, act, random_point, random_word, space_for
+from orthokleis.orthogroup import (
+    TubePoint,
+    act,
+    heisenberg,
+    random_point,
+    random_word,
+    space_for,
+    translation,
+)
 from orthokleis.theta import (
     ThetaQuery,
     big_theta,
@@ -296,3 +304,48 @@ def test_cli_theta_row_flags_a_vacuous_tail():
     for r in (a2, e8):
         total = abs(complex(*r["value"])) + abs(complex(*r["refined_value"]))
         assert r["tail_vacuous"] == (r["tail_bound"] >= total)
+
+
+def plain_enumeration_sum(space, Z, W, B):
+    """(value, nonzero terms) over every ell of the plain enumeration,
+    both of each pair {ell, -ell}, with the phase forms in python ints."""
+    Q = np.kron(Z.imag, majorant_at(space, W))
+    pts = ellipsoid_points(Q, B, 10 ** 7)
+    m = space.dim + 2
+    S1 = np.array(space.S1_int, dtype=object)
+    A1, A2 = pts[:, :m].astype(object), pts[:, m:].astype(object)
+    s11, s12, s22 = (((P @ S1) * R).sum(axis=1)
+                     for P, R in ((A1, A1), (A1, A2), (A2, A2)))
+    X = Z.real
+    phase = np.array([float(a) * X[0, 0] + 2.0 * float(b) * X[0, 1]
+                      + float(c) * X[1, 1] for a, b, c in zip(s11, s12, s22)])
+    F = pts.astype(float)
+    decay = ((F @ Q) * F).sum(axis=1)
+    vals = np.exp(1j * math.pi * phase - math.pi * decay)
+    return 1.0 + complex(vals.sum()), pts.shape[0]
+
+
+@pytest.mark.parametrize("name,B", [("A2", 6.0), ("D4", 4.0)])
+def test_half_sum_matches_plain_enumeration(name, B):
+    """One row per pair {ell, -ell}, evaluated in the LLL basis, against
+    the plain enumeration at moved points with nonzero X."""
+    sp = space_for(load_gram(name))
+    rng = np.random.default_rng(29)
+    for _ in range(2):
+        W = act(random_word(sp, rng, length=4), random_point(sp, rng))
+        q = ThetaQuery(sp, GENERIC_Z, W, B)
+        want, terms = plain_enumeration_sum(sp, GENERIC_Z, W, B)
+        assert terms > 1000
+        assert theta_term_count(q) == terms
+        assert abs(theta_truncated(q) - want) < 1e-12
+
+
+def test_e8_orbit_point_term_count(sp_e8):
+    """E8 at B=5 and W = h<base>: 773344 nonzero terms, as at the base
+    point, so 773345 classes with the zero matrix."""
+    h = (translation(sp_e8, [1, 0, -1, -1, -1, -1, 1, 1, 1, 1])
+         @ heisenberg(sp_e8, [0, -1, 0, 0, 1, -1, 0, 1],
+                      [0, -1, -1, -1, 1, 1, 0, 0]))
+    rep = theta_report(ThetaQuery(sp_e8, GENERIC_Z,
+                                  act(h, base_tube(sp_e8)), 5.0))
+    assert rep["classes"] == 773345
