@@ -57,6 +57,7 @@ from .majorant import (
     transport_to,
 )
 from .eisenstein import (
+    ClassList,
     IsotropicClass,
     class_value,
     eisenstein_report,

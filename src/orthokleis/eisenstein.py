@@ -23,11 +23,25 @@ quadratic exactly instead of listing it, so no anisotropic point is held;
 the cap counts every enumeration layer and every point kept, the short
 vectors included.  All final acceptance tests are exact or carry a 1e-9
 relative boundary guard.
+
+Class lists are columnar.  Both enumerators and `transport_classes` put
+the canonical representatives rank2_column_hnf returns into one
+`_ClassStack`: a (k, m, 2) integer stack (int64, or python ints as dtype
+object past the kernel's int64 headroom) with a float64 detR column, no
+per-class python object.  A lexsort over the row-major entries, with
+the arrival index as the last key, finds the first occurrence of each
+class, so a class keeps the detR of the first candidate that reached
+it; the survivors are then ordered by (detR, representative read row by
+row).  lexsort compares object arrays too, so one path serves both
+dtypes.  The result is a `ClassList`, a sequence of `IsotropicClass`
+items built only when indexed or iterated.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,6 +82,109 @@ class IsotropicClass:
 
     def matrix(self) -> np.ndarray:
         return np.array([list(r) for r in self.ell], dtype=np.int64)
+
+
+def _item(rows, detR) -> IsotropicClass:
+    return IsotropicClass(ell=tuple(map(tuple, rows)), detR=detR)
+
+
+class ClassList(Sequence):
+    """A class list in columns: `ells`, a (k, m, 2) stack of canonical
+    representatives (int64, or python ints as dtype object), and `detR`,
+    their float64 determinants, in (detR, representative) order.
+
+    Indexing and iteration build IsotropicClass items on demand; a slice
+    is a ClassList sharing the arrays.  Both arrays are read-only.
+    """
+
+    __slots__ = ("ells", "detR")
+
+    def __init__(self, ells: np.ndarray, detR: np.ndarray):
+        ells.flags.writeable = detR.flags.writeable = False
+        self.ells, self.detR = ells, detR
+
+    def __len__(self) -> int:
+        return self.detR.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ClassList(self.ells[i], self.detR[i])
+        i = operator.index(i)
+        return _item(self.ells[i].tolist(), float(self.detR[i]))
+
+    def __iter__(self):
+        # python ints for one slice at a time, so iterating a long list
+        # never holds it all as nested lists
+        for lo in range(0, len(self), PAIR_SLICE):
+            yield from map(_item, self.ells[lo:lo + PAIR_SLICE].tolist(),
+                           self.detR[lo:lo + PAIR_SLICE].tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (ClassList, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+class _ClassStack:
+    """Canonical representatives and their detR as they arrive, in
+    blocks; `classes()` deduplicates and orders them.
+
+    Held rows are deduplicated again whenever they reach twice the count
+    the previous deduplication left (PAIR_SLICE at least), so what is
+    held stays within a constant factor of the class list, however many
+    duplicate candidates an enumeration yields.
+    """
+
+    def __init__(self, m: int):
+        self.blocks = [(np.zeros((0, m, 2), dtype=np.int64), np.zeros(0))]
+        self.held = self.unique = 0
+
+    def add(self, H: np.ndarray, det: np.ndarray) -> None:
+        """Hold the (k, m, 2) canonical representatives H with det[i]."""
+        self.blocks.append((H, det))
+        self.held += det.shape[0]
+        if self.held >= 2 * max(self.unique, PAIR_SLICE):
+            H, det, first = self._first_rows()
+            self.blocks = [(H[first], det[first])]
+            self.held = self.unique = first.shape[0]
+
+    def add_pairs(self, V, W, det, primitive_only: bool) -> None:
+        """Canonicalise the candidate pairs (V[i], W[i]) in slices and hold
+        each with its determinant det[i].  Pairs of rank below 2 are
+        dropped, and imprimitive ones when asked."""
+        for lo in range(0, V.shape[0], PAIR_SLICE):
+            hi = lo + PAIR_SLICE
+            g, H = rank2_column_hnf(V[lo:hi], W[lo:hi])
+            keep = g == 1 if primitive_only else g != 0
+            self.add(H[keep], det[lo:hi][keep])
+
+    def _first_rows(self):
+        """(H, det, first): the held rows joined, and the index of the
+        first occurrence of each representative, in row-major order of
+        the representatives."""
+        H = np.concatenate([b[0] for b in self.blocks])
+        det = np.concatenate([b[1] for b in self.blocks])
+        self.blocks = [(H, det)]
+        k, m = det.shape[0], H.shape[1]
+        flat = H.reshape(k, 2 * m)
+        # lexsort takes its last key as the primary one: representatives
+        # row-major, then arrival, so each run of equals starts with its
+        # first occurrence
+        order = np.lexsort((np.arange(k), *flat.T[::-1]))
+        first = np.zeros(k, dtype=bool)
+        first[:1] = True
+        for col in flat.T:
+            ranked = col[order]
+            first[1:] |= ranked[1:] != ranked[:-1]
+        return H, det, order[first]
+
+    def classes(self) -> ClassList:
+        """The distinct classes held, ordered by (detR, representative)."""
+        H, det, first = self._first_rows()
+        # first is in representative order, so a stable sort on detR
+        # alone gives the (detR, representative) order
+        order = first[np.argsort(det[first], kind="stable")]
+        return ClassList(H[order], det[order])
 
 
 def _divisors(m: int):
@@ -163,21 +280,6 @@ def _fiber(space: Space, pq, plan, cap: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _add_classes(found: dict, V, W, det, primitive_only: bool):
-    """Canonicalise the candidate pairs (V[i], W[i]) in slices and record
-    each new class with its determinant det[i], first occurrence first.
-    Pairs of rank below 2 are dropped, and imprimitive ones when asked."""
-    for lo in range(0, V.shape[0], PAIR_SLICE):
-        g, H = rank2_column_hnf(V[lo:lo + PAIR_SLICE], W[lo:lo + PAIR_SLICE])
-        keep = g == 1 if primitive_only else g != 0
-        H = H[keep]
-        for col0, col1, d in zip(H[:, :, 0].tolist(), H[:, :, 1].tolist(),
-                                 det[lo:lo + PAIR_SLICE][keep].tolist()):
-            key = tuple(zip(col0, col1))
-            if key not in found:
-                found[key] = d
-
-
 def _s1_dtype(space: Space, A, B):
     """int64 when no S1 pairing of a row of A with a row of B, nor any
     partial sum of one, can overflow it; python ints otherwise."""
@@ -187,7 +289,7 @@ def _s1_dtype(space: Space, A, B):
 
 
 def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
-    """Class dict {canonical rows: detR} at the base-point majorant."""
+    """The classes at the base-point majorant, held in a _ClassStack."""
     limit = B * (1.0 + REL_EPS) + REL_EPS
     Dmax = math.isqrt(int(limit))
     # cheap whole-run feasibility scan before any fiber is built; each
@@ -209,7 +311,7 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     # the largest fiber norm first: every fiber shell is then a slice of
     # one enumeration
     half_ball(space.L, t_max)
-    found: dict = {}
+    stack = _ClassStack(space.dim + 2)
     pair_budget = 0
     for D, pvec, plan1, rvec, plan2 in pairs:
         A1 = _fiber(space, pvec, plan1, cap)
@@ -228,16 +330,17 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
             i, j = np.nonzero(block == 0)
             for s in range(0, i.size, PAIR_SLICE):
                 ii, jj = lo + i[s:s + PAIR_SLICE], j[s:s + PAIR_SLICE]
-                _add_classes(found, A1[ii], A2[jj],
-                             np.full(ii.size, float(D * D)),
-                             primitive_only)
-    return found
+                stack.add_pairs(A1[ii], A2[jj],
+                                np.full(ii.size, float(D * D)),
+                                primitive_only)
+    return stack
 
 
 # ---------------------------------------------------- general majorants
 
 def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
                      primitive_only: bool):
+    """The classes at a general majorant R, held in a _ClassStack."""
     m = space.dim + 2
     limit = B * (1.0 + REL_EPS) + REL_EPS
     B1 = math.sqrt(4.0 * B / 3.0) * (1.0 + REL_EPS)
@@ -246,12 +349,12 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
     # what is held counts against the cap: the short isotropic vectors,
     # then every partner list
     spent = iso.shape[0]
+    stack = _ClassStack(m)
     if spent == 0:
-        return {}
+        return stack
     # one sign per line: first nonzero coordinate positive
     lead = iso[np.arange(iso.shape[0]), (iso != 0).argmax(axis=1)]
     reps = sorted(map(tuple, iso[lead > 0].tolist()))
-    found: dict = {}
     # (l, partner, det2) rows waiting for the canonicaliser, in order
     pending, waiting = [], 0
     for l in reps:
@@ -279,13 +382,12 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
                         det2[ok]))
         waiting += partners.shape[0]
         if waiting >= PAIR_SLICE:
-            _add_classes(found, *map(np.concatenate, zip(*pending)),
-                         primitive_only)
+            stack.add_pairs(*map(np.concatenate, zip(*pending)),
+                            primitive_only)
             pending, waiting = [], 0
     if pending:
-        _add_classes(found, *map(np.concatenate, zip(*pending)),
-                     primitive_only)
-    return found
+        stack.add_pairs(*map(np.concatenate, zip(*pending)), primitive_only)
+    return stack
 
 
 # ------------------------------------------------------------ public API
@@ -293,19 +395,17 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
 def enumerate_isotropic_classes(space: Space, R: np.ndarray, B: float,
                                 cap: int = DEFAULT_CAP,
                                 primitive_only: bool = True,
-                                _force_general: bool = False):
+                                _force_general: bool = False) -> ClassList:
     """All classes [ell] with det(R[ell]) <= B (1e-9 relative slack at the
     boundary), S1[ell] = 0, rank 2, primitive unless told otherwise."""
     if not B > 0:
         raise ValueError("B must be positive")
     if not _force_general and np.allclose(R, base_majorant(space),
                                           rtol=0.0, atol=1e-12):
-        found = _base_classes(space, B, cap, primitive_only)
+        stack = _base_classes(space, B, cap, primitive_only)
     else:
-        found = _general_classes(space, R, B, cap, primitive_only)
-    out = [IsotropicClass(ell=k, detR=v) for k, v in found.items()]
-    out.sort(key=lambda c: (c.detR, c.ell))
-    return out
+        stack = _general_classes(space, R, B, cap, primitive_only)
+    return stack.classes()
 
 
 def canonical_class(ell) -> list:
@@ -320,27 +420,27 @@ def canonical_class(ell) -> list:
     return H[0].tolist()
 
 
-def class_value(classes, s: complex) -> complex:
-    """Sum of det(R[ell])^(-s/2) over the given classes."""
+def class_value(classes: ClassList, s: complex) -> complex:
+    """Sum of det(R[ell])^(-s/2) over the given classes, left to right."""
     s = complex(s)
     total = 0j
-    for c in classes:
-        total += c.detR ** (-s / 2)
+    for d in classes.detR.tolist():
+        total += d ** (-s / 2)
     return total
 
 
-def transport_classes(space: Space, classes, g: OrthElement,
-                      R_new: np.ndarray):
+def transport_classes(space: Space, classes: ClassList, g: OrthElement,
+                      R_new: np.ndarray) -> ClassList:
     """Map a class list through an exact group element: ell -> g ell,
     recomputing each determinant in the majorant R_new.  Classes at a
     point Z biject this way with classes at g<Z>."""
     if not g.exact:
         raise ValueError("transport requires an exact integral element")
     m = space.dim + 2
-    ells = np.array([c.ell for c in classes], dtype=object).reshape(-1, m, 2)
+    ells = classes.ells
     dt = np.int64 if int64_fits(m * max_abs(g.mat) * max_abs(ells)) else object
     moved = g.mat.astype(dt) @ ells.astype(dt)
-    out = []
+    out = _ClassStack(m)
     for lo in range(0, moved.shape[0], PAIR_SLICE):
         block = moved[lo:lo + PAIR_SLICE]
         rank2, H = rank2_column_hnf(block[:, :, 0], block[:, :, 1])
@@ -348,11 +448,9 @@ def transport_classes(space: Space, classes, g: OrthElement,
             raise RankDeficient("a transported class has rank below 2")
         Hf = H.astype(float)
         gram = Hf.transpose(0, 2, 1) @ R_new @ Hf
-        det2 = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        out += [IsotropicClass(ell=tuple(map(tuple, rows)), detR=d)
-                for rows, d in zip(H.tolist(), det2.tolist())]
-    out.sort(key=lambda c: (c.detR, c.ell))
-    return out
+        out.add(H, gram[:, 0, 0] * gram[:, 1, 1]
+                - gram[:, 0, 1] * gram[:, 1, 0])
+    return out.classes()
 
 
 def check_convergence(s: complex, line: float,

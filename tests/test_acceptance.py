@@ -230,8 +230,8 @@ def _invariance_by_moved_determinants(space, rng, B, s, words, cap):
     base = space.base_point()
     cls = enumerate_isotropic_classes(
         space, majorant_at(space, base), B, cap=cap)
-    ells = np.array([[list(r) for r in c.ell] for c in cls], dtype=np.int64)
-    det_base = np.sort(np.array([c.detR for c in cls]))
+    ells = cls.ells.astype(np.int64)
+    det_base = np.sort(cls.detR)
     ref = class_value(cls, s)
     for _ in range(words):
         g = random_word(space, rng, length=2, coeff=1)
