@@ -6,6 +6,8 @@ Numeric policy: values are returned as machine complex numbers.  The
 environment variable ORTHOKLEIS_PRECISION (decimal digits, default 16)
 sets the working precision; above 16 digits the zeta core switches to
 mpmath arithmetic internally while keeping the same summation scheme.
+Gamma and log Gamma always come from mpmath at a fixed _GAMMA_DPS digits,
+well beyond the double they are rounded to.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.special import gamma as _gamma_c
-from scipy.special import loggamma as _loggamma
 
 from .eisenstein import (
     check_convergence,
@@ -34,6 +34,7 @@ from .majorant import majorant_at
 from .orthogroup import Space
 
 _POLE_TOL = 1e-12
+_GAMMA_DPS = 30
 
 
 def working_precision() -> int:
@@ -118,14 +119,15 @@ def zeta(s, digits: int | None = None) -> complex:
         return core(s, digits)
     w = 1 - s
     return (2 ** s * math.pi ** (s - 1) * cmath.sin(cmath.pi * s / 2)
-            * _gamma(w, digits) * core(w, digits))
+            * _gamma(w) * core(w, digits))
 
 
-def _gamma(s: complex, digits: int = 16) -> complex:
-    if digits > 16:
-        with mpmath.workdps(digits + 8):
+def _gamma(s: complex) -> complex:
+    with mpmath.workdps(_GAMMA_DPS):
+        try:
             return complex(mpmath.gamma(mpmath.mpc(s)))
-    return complex(_gamma_c(s))
+        except ValueError:  # a pole: nan, not an exception
+            return complex(math.nan, math.nan)
 
 
 def xi(s, digits: int | None = None) -> complex:
@@ -146,16 +148,15 @@ def xi(s, digits: int | None = None) -> complex:
         near = round(s.real / 2) * 2
         if near <= 0 and abs(s - near) < 1e-8:
             return xi(1 - s, digits)
-    return math.pi ** (-s / 2) * _gamma(half, digits) * zeta(s, digits)
+    return math.pi ** (-s / 2) * _gamma(half) * zeta(s, digits)
 
 
 # ------------------------------------------------------- gamma companions
 
-def gamma2(s, digits: int | None = None) -> complex:
+def gamma2(s) -> complex:
     """Gamma(s) Gamma(s - 1/2)."""
     s = complex(s)
-    digits = working_precision() if digits is None else digits
-    return _gamma(s, digits) * _gamma(s - 0.5, digits)
+    return _gamma(s) * _gamma(s - 0.5)
 
 
 def phi2_value(t):
@@ -224,8 +225,8 @@ def _gauss_jacobi(n: int, a: float) -> tuple[np.ndarray, np.ndarray]:
     Golub-Welsch: the nodes are the eigenvalues of the symmetric Jacobi
     matrix, and each weight is 1 / sum_k p_k(u)^2 over the orthonormal
     polynomials of degree < n.  (scipy.special.roots_jacobi computes the
-    same rule, but its first call imports scipy.linalg, which costs more
-    than the whole cone integral.)
+    same rule and is the test oracle for this one; the package does not
+    depend on scipy.)
     """
     k = np.arange(2, n, dtype=float)
     off = np.sqrt(np.concatenate(
@@ -277,8 +278,10 @@ def p2_integral_check(s, T, rel_tol: float = 1e-4) -> tuple[complex, complex]:
 
     sigma = s.real
     rho = t3 / math.sqrt(t1 * t2)
-    prefactor = 2 * complex(np.exp(
-        _loggamma(2 * s) - 2 * s * math.log(2 * math.sqrt(t1 * t2))))
+    with mpmath.workdps(_GAMMA_DPS):
+        log_gamma = complex(mpmath.loggamma(mpmath.mpc(2 * s)))
+    prefactor = 2 * cmath.exp(
+        log_gamma - 2 * s * math.log(2 * math.sqrt(t1 * t2)))
     target = rel_tol * abs(closed) / abs(prefactor)
 
     # |integrand| has u-mass B(1/2, sigma - 1/2), and for |y| >= L

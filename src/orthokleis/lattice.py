@@ -188,6 +188,7 @@ def bordered_forms(L: GramLattice) -> BorderedForms:
 # ------------------------------------------- Fincke-Pohst enumeration
 
 DEFAULT_CAP = 8_000_000
+_LLL_DELTA = 0.75  # the Lovasz condition's constant
 
 
 def _cholesky_upper(Q: np.ndarray) -> np.ndarray:
@@ -218,7 +219,7 @@ def _ldl(Q: np.ndarray):
     return mu, d
 
 
-def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
+def _lll_gram(Q: np.ndarray) -> np.ndarray:
     """Unimodular integer U with Q[U] LLL-reduced (refactored from
     scratch each step; the dimensions here are tiny).
 
@@ -249,7 +250,7 @@ def _lll_gram(Q: np.ndarray, delta: float = 0.75) -> np.ndarray:
                 return U
         swapped = False
         for k in range(1, m):
-            if d[k] < (delta - mu[k, k - 1] ** 2) * d[k - 1]:
+            if d[k] < (_LLL_DELTA - mu[k, k - 1] ** 2) * d[k - 1]:
                 U[:, [k - 1, k]] = U[:, [k, k - 1]]
                 swapped = True
                 break

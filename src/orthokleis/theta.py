@@ -225,17 +225,8 @@ def gauss_single_sum(space: Space, y: float, T: int):
     sum over v of exp(-pi y R_base[v]), truncated at R_base[v] <= T."""
     shells = majorant_shell_counts(space, T)
     value = sum(c * math.exp(-math.pi * y * t) for t, c in enumerate(shells) if c)
-    R = base_majorant(space)
-    dim = R.shape[0]
-    ev = np.linalg.eigvalsh(R)
-    det = float(np.prod(ev)) * y ** dim
-    lam_min, lam_max = y * float(ev[0]), y * float(ev[-1])
-    best = float("inf")
-    for alpha in np.linspace(0.02, 0.9, 45):
-        mass = _gauss_mass_upper(det, lam_min, lam_max, dim, float(alpha))
-        cand = math.exp(-math.pi * (1.0 - alpha) * y * T) * mass
-        best = min(best, cand)
-    return value, best
+    # kron([[y]], R) = yR, and R[v] <= T exactly when (yR)[v] <= yT
+    return value, tail_bound(y * T, np.array([[y]]), base_majorant(space))
 
 
 def theta_diag_factored(space: Space, y1: float, y2: float, T: int):

@@ -1,7 +1,8 @@
 """The traced benchmark run wraps the package functions named in
 perfbench/tracer.py; each must still exist, or every traced run fails.
-The package import stays off scipy.integrate: nothing uses it, and it
-costs every CLI process more than the scipy.special import it needs."""
+The package stays off scipy altogether: Gamma and log Gamma come from
+mpmath, and scipy is a test-only dependency.  Its import would cost
+every CLI process more than the work of most commands."""
 
 import importlib
 import importlib.util
@@ -37,6 +38,25 @@ def test_import_floor_excludes_scipy_integrate():
             "assert 'scipy.integrate' not in sys.modules, 'import'; "
             "orthokleis.p2_integral_check(2.0, [[1, 0], [0, 1]]); "
             "assert 'scipy.integrate' not in sys.modules, 'first call'")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_import_floor_excludes_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys, orthokleis; "
+            "from orthokleis.assembly import gamma2; "
+            "orthokleis.xi(0.3 + 4j); orthokleis.xi(-2.5); "
+            "gamma2(2.5 + 1j); "
+            "orthokleis.p2_integral_check(2.0, [[1, 0], [0, 1]]); "
+            "orthokleis.completed_dirichlet([1, 2], 14.0, 12, 8, 1); "
+            "loaded = [m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')]; "
+            "assert not loaded, loaded")
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
