@@ -19,7 +19,6 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 import numpy as np
@@ -50,19 +49,9 @@ def working_precision() -> int:
     return digits
 
 
-@lru_cache(maxsize=None)
 def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number by the defining recurrence."""
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2:
-        return Fraction(0)
-    total = Fraction(0)
-    for k in range(n):
-        total += Fraction(math.comb(n + 1, k)) * bernoulli_number(k)
-    return -total / (n + 1)
+    """Exact Bernoulli number B_n, with B_1 = -1/2."""
+    return Fraction(*mpmath.bernfrac(n))
 
 
 def _em_parameters(s: complex, digits: int) -> tuple[int, int]:
@@ -428,13 +417,18 @@ def completed_dirichlet(coeffs, s, k: int, n: int,
     """Finite coefficient sum m^{-s} with the completion factor product
     (4 pi)^{-s} Gamma(s) xi(s-k+6) xi(2s-2k+10) xi(s-k+9) xi(s-k+8) and
     the quadratic factor at s-k+9; also exposes the normalization
-    prefactor (4 pi)^{-(s+k-n-1)} Gamma(s+k-n-1) / so_order."""
+    prefactor (4 pi)^{-(s+k-n-1)} Gamma(s+k-n-1) / so_order, and raises
+    PoleAt where that Gamma has a pole."""
     if n % 4 != 0:
         raise ValueError("rank must be divisible by 4")
     if not isinstance(so_order, int) or so_order <= 0:
         raise ValueError("the finite group order must be a positive integer")
     s = complex(s)
     check_convergence(s, k + 1)
+    w = s + k - n - 1
+    pole = round(w.real)
+    if pole <= 0 and abs(w - pole) < _POLE_TOL:
+        raise PoleAt(pole - k + n + 1, label="Gamma(s+k-n-1)")
     series = sum(
         (complex(c) * (m + 1) ** -s for m, c in enumerate(coeffs)), 0j)
     factors = (
@@ -445,7 +439,6 @@ def completed_dirichlet(coeffs, s, k: int, n: int,
         ("xi(s-k+8)", xi(s - k + 8)),
         ("gamma_S(s-k+9)", gamma_s(s - k + 9, n)),
     )
-    w = s + k - n - 1
     prefactor = (4 * math.pi) ** -w * _gamma(w) / so_order
     product = math.prod((complex(v) for _, v in factors), start=1 + 0j)
     return CompletedSeriesFactors(

@@ -64,7 +64,7 @@ from .lattice import (
     GramLattice,
     ellipsoid_points,
     half_ball,
-    norm_shell,
+    shell,
 )
 from .majorant import base_majorant, majorant_at
 from .orthogroup import OrthElement, Space, TubePoint
@@ -250,9 +250,10 @@ def _fiber_plan(space: Space, pq):
     return plan, est
 
 
-def _fiber(space: Space, pq, plan, cap: int) -> np.ndarray:
+def _fiber(space: Space, pq, plan, ball, cap: int) -> np.ndarray:
     """All S1-isotropic integer vectors v with psi(v) = pq, as int64 rows,
-    built along the (u, w, t) shells of _fiber_plan(space, pq).
+    built along the (u, w, t) shells of _fiber_plan(space, pq), each a
+    `shell` of the lattice ball `ball` reaching the plan's largest t.
 
     Parameterized by u = a - b, w = c - d (parity fixed by pq) and lattice
     vectors of norm t = (|pq|^2 - u^2 - w^2) / 2; the construction makes
@@ -263,7 +264,7 @@ def _fiber(space: Space, pq, plan, cap: int) -> np.ndarray:
     blocks, size = [], 0
     for u, w, t in plan:
         if t:
-            half = norm_shell(L, t)
+            half = shell(ball, t)
             xs = np.concatenate([half, -half])
         else:
             xs = np.zeros((1, L.n), dtype=np.int64)
@@ -308,14 +309,13 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
             f"estimated candidate pair count {est_total:.2e} over image "
             f"indices up to {Dmax} exceeds the enumeration cap",
             int(est_total), cap)
-    # the largest fiber norm first: every fiber shell is then a slice of
-    # one enumeration
-    half_ball(space.L, t_max)
+    # every fiber shell is a slice of one enumeration
+    ball = half_ball(space.L, t_max)
     stack = _ClassStack(space.dim + 2)
     pair_budget = 0
     for D, pvec, plan1, rvec, plan2 in pairs:
-        A1 = _fiber(space, pvec, plan1, cap)
-        A2 = _fiber(space, rvec, plan2, cap)
+        A1 = _fiber(space, pvec, plan1, ball, cap)
+        A2 = _fiber(space, rvec, plan2, ball, cap)
         pair_budget += A1.shape[0] * A2.shape[0]
         if pair_budget > cap:
             raise BudgetExceeded(

@@ -16,9 +16,9 @@ big space as v = (a, c, x, d, b) with x of length n,
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -194,29 +194,27 @@ _LLL_DELTA = 0.75  # the Lovasz condition's constant
 def _cholesky_upper(Q: np.ndarray) -> np.ndarray:
     """Upper U with Q = U^t U, of Q as given: any perturbation would move
     the ellipsoid's boundary and lose vectors.  A form numpy cannot factor
-    is refused, naming its first leading minor with a nonpositive pivot."""
+    is refused, naming its first leading minor numpy cannot factor."""
     try:
         return np.linalg.cholesky(Q).T
     except np.linalg.LinAlgError:
-        bad = np.flatnonzero(np.isnan(_ldl(Q)[1]))
-        raise NotPositiveDefinite(
-            int(bad[0]) + 1 if bad.size else Q.shape[0]) from None
+        for k in range(1, Q.shape[0]):
+            try:
+                np.linalg.cholesky(Q[:k, :k])
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefinite(k) from None
+        raise NotPositiveDefinite(Q.shape[0]) from None
 
 
-def _ldl(Q: np.ndarray):
-    """Unit-lower LDL^t factors (mu, d) of a positive form; d may pick up
-    roundoff for near-degenerate inputs, callers guard on positivity."""
-    m = Q.shape[0]
-    mu = np.eye(m)
-    d = np.zeros(m)
-    for i in range(m):
-        for j in range(i):
-            mu[i, j] = (Q[i, j] - np.dot(mu[i, :j] * mu[j, :j], d[:j])) / d[j]
-        d[i] = Q[i, i] - np.dot(mu[i, :i] ** 2, d[:i])
-        if d[i] <= 0:
-            d[i] = np.nan
-            break
-    return mu, d
+def _gram_schmidt(G: np.ndarray):
+    """Unit-lower mu and squared lengths d with G = mu diag(d) mu^t, from
+    numpy's Cholesky factor; None when numpy cannot factor G."""
+    try:
+        C = np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return None
+    c = np.diag(C)
+    return C / c, c * c
 
 
 def _lll_gram(Q: np.ndarray) -> np.ndarray:
@@ -230,10 +228,10 @@ def _lll_gram(Q: np.ndarray) -> np.ndarray:
     m = Q.shape[0]
     U = np.eye(m, dtype=np.int64)
     for _ in range(10000):
-        G = U.T @ Q @ U
-        mu, d = _ldl(G)
-        if np.isnan(d).any():
+        gs = _gram_schmidt(U.T @ Q @ U)
+        if gs is None:
             return U
+        mu, d = gs
         # size-reduce in one sweep
         changed = False
         for k in range(1, m):
@@ -244,10 +242,10 @@ def _lll_gram(Q: np.ndarray) -> np.ndarray:
                     mu[k, : j + 1] -= q * mu[j, : j + 1]
                     changed = True
         if changed:
-            G = U.T @ Q @ U
-            mu, d = _ldl(G)
-            if np.isnan(d).any():
+            gs = _gram_schmidt(U.T @ Q @ U)
+            if gs is None:
                 return U
+            mu, d = gs
         swapped = False
         for k in range(1, m):
             if d[k] < (_LLL_DELTA - mu[k, k - 1] ** 2) * d[k - 1]:
@@ -410,12 +408,12 @@ def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
 
 # ------------------------------------------------ shells of the lattice
 
-_BALL_SLOTS = 8  # lattices whose ball is kept, least recently used out
-_balls: dict = {}  # GramLattice -> (bound, half-vectors, exact norms)
-_balls_lock = threading.Lock()
-
-
-def _enumerate_ball(L: GramLattice, bound: int):
+@lru_cache(maxsize=8)
+def half_ball(L: GramLattice, bound: int):
+    """(X, norms): the x with 0 < S[x] <= bound, one per {x, -x} with the
+    first nonzero coordinate positive, as rows of an int64 array sorted by
+    (S[x], coordinates), and their exact norms.  Both arrays are read-only
+    and shared by every caller that asks for the same (L, bound)."""
     # the float factor comes from the exact rows: gram_np() refuses
     # entries of 2^63 and more
     pts = ellipsoid_points(np.array(L.S, dtype=float), float(bound),
@@ -430,33 +428,17 @@ def _enumerate_ball(L: GramLattice, bound: int):
     return X, norms
 
 
-def half_ball(L: GramLattice, bound: int):
-    """(X, norms): the x with 0 < S[x] <= bound, one per {x, -x} with the
-    first nonzero coordinate positive, as rows of an int64 array sorted by
-    (S[x], coordinates), and their exact norms.
-
-    Each lattice keeps the ball enumerated at the largest bound asked so
-    far, and smaller balls are prefixes of it: ask for the largest bound
-    first and every later shell is a slice.  The arrays are read-only
-    views of that cache."""
-    with _balls_lock:
-        hit = _balls.get(L)
-        if hit is None or hit[0] < bound:
-            hit = (bound, *_enumerate_ball(L, bound))
-        _balls.pop(L, None)
-        _balls[L] = hit
-        if len(_balls) > _BALL_SLOTS:
-            del _balls[next(iter(_balls))]
-    _, X, norms = hit
-    k = int(np.searchsorted(norms, bound, side="right"))
-    return X[:k], norms[:k]
+def shell(ball, t: int) -> np.ndarray:
+    """The rows of norm exactly t of a `half_ball` (X, norms)."""
+    X, norms = ball
+    return X[int(np.searchsorted(norms, t, side="left")):
+             int(np.searchsorted(norms, t, side="right"))]
 
 
 def norm_shell(L: GramLattice, t: int) -> np.ndarray:
     """The x with S[x] = t > 0, one per {x, -x}, as rows of a read-only
     int64 array in the order of `half_ball`."""
-    X, norms = half_ball(L, t)
-    return X[int(np.searchsorted(norms, t, side="left")):]
+    return shell(half_ball(L, t), t)
 
 
 def short_vectors(L: GramLattice, bound: int):
@@ -479,7 +461,7 @@ def short_vectors(L: GramLattice, bound: int):
 
 def vectors_of_norm(L: GramLattice, t: int):
     """All x with S[x] exactly t, up to sign (t > 0), as int tuples in the
-    order of `short_vectors`; a slice of the lattice's cached ball."""
+    order of `short_vectors`."""
     if t < 0:
         return []
     if t == 0:
@@ -495,15 +477,15 @@ def is_primitive(M) -> bool:
     return len(d) == k and all(e == 1 for e in d)
 
 
-def find_norm2_vector(L: GramLattice, radius: int = 6):
-    """Some x with S[x] = 2, searching S[x] <= radius; None if absent."""
+def find_norm2_vector(L: GramLattice):
+    """Some x with S[x] = 2; None if absent."""
     for i in range(L.n):
         if L.S[i][i] == 2:
             e = [0] * L.n
             e[i] = 1
             return np.array(e, dtype=np.int64)
-    shell = norm_shell(L, 2) if radius >= 2 else ()
-    return shell[0].copy() if len(shell) else None
+    roots = norm_shell(L, 2)
+    return roots[0].copy() if len(roots) else None
 
 
 def canonical_columns(M):
@@ -543,12 +525,12 @@ def so_order_bruteforce(L: GramLattice, cap: int = 10 ** 7) -> int:
     """
     n = L.n
     Smat = L.gram()
+    ball = half_ball(L, max(Smat[j][j] for j in range(n)))
     shells = {}
-    half_ball(L, max(Smat[j][j] for j in range(n)))  # largest norm first
     for j in range(n):
         t = Smat[j][j]
         if t not in shells:
-            shells[t] = [w for v in vectors_of_norm(L, t)
+            shells[t] = [w for v in map(tuple, shell(ball, t).tolist())
                          for w in (v, tuple(-c for c in v))]
     count = 0
     nodes = 0

@@ -31,6 +31,9 @@ DENOM_TOL = 1e-12
 
 @lru_cache(maxsize=None)
 def space_for(L: GramLattice) -> "Space":
+    """The one Space of a lattice.  Unbounded on purpose: OrthElement
+    compares spaces by identity, so evicting a Space would make g @ h
+    refuse two elements of the same lattice."""
     return Space(L)
 
 

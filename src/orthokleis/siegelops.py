@@ -206,9 +206,7 @@ def det_dy(f: ExpPoly) -> ExpPoly:
     return f.det_dy()
 
 
-def maass_delta(f: ExpPoly, k, m: int = 2) -> ExpPoly:
-    if m != 2:
-        raise ValueError("only the rank-2 operator is implemented")
+def maass_delta(f: ExpPoly, k) -> ExpPoly:
     shift = Fraction(k) - Fraction(1, 2)
     return f.mul_det_power(shift).det_dz().mul_det_power(-shift)
 
@@ -229,9 +227,7 @@ def sigma_op(f: ExpPoly) -> ExpPoly:
     return out.scale(0, 1)
 
 
-def d_lm(f: ExpPoly, l, m: int = 2) -> ExpPoly:
-    if m != 2:
-        raise ValueError("only the rank-2 operator is implemented")
+def d_lm(f: ExpPoly, l) -> ExpPoly:
     l = Fraction(l)
     return f.mul_det_power(1 - l).det_dy().mul_det_power(l)
 

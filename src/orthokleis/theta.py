@@ -18,7 +18,7 @@ mapped back: the phase forms are carried into that basis exactly and
 evaluated on the integer rows with float64 matmuls where a headroom bound
 shows them exact (`intmat.quad_rows`).  The factored diagonal path counts
 lattice shells by a bincount over one cached ball of the lattice
-(`lattice.half_ball`), enumerated at the largest norm it needs.
+(`lattice.half_ball`).
 
 Tail bounds are certified: the reported bound is the better of a
 smallest-eigenvalue Gaussian comparison and a Poisson-dual volume bound,
@@ -184,40 +184,23 @@ def tail_bound_details(B: float, Y: np.ndarray, R: np.ndarray) -> dict:
 
 # -------------------------------------- factored diagonal evaluation path
 
-def _square_shells(T: int):
-    r1 = [0] * (T + 1)
-    r1[0] = 1
-    k = 1
-    while k * k <= T:
-        r1[k * k] = 2
-        k += 1
-    return r1
-
-
-def _convolve(a, b, T: int):
-    out = [0] * (T + 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(0, T + 1 - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return out
-
-
 def majorant_shell_counts(space: Space, T: int):
     """Exact counts of integer vectors with base-majorant norm t <= T.
 
     The base majorant is diag(1, 1, S, 1, 1), so the counts are the
     convolution of four square shells with the lattice norm shells.
     """
-    r1 = _square_shells(T)
-    r4 = _convolve(_convolve(r1, r1, T), _convolve(r1, r1, T), T)
+    # object arrays: the counts are python ints, exact at any T
+    r1 = np.zeros(T + 1, dtype=object)
+    r1[0] = 1
+    r1[np.arange(1, math.isqrt(T) + 1) ** 2] = 2
+    r2 = np.convolve(r1, r1)[:T + 1]
+    r4 = np.convolve(r2, r2)[:T + 1]
     _, norms = half_ball(space.L, T)
-    rS = (2 * np.bincount(norms.astype(np.int64), minlength=T + 1)).tolist()
+    rS = 2 * np.bincount(norms.astype(np.int64),
+                         minlength=T + 1).astype(object)
     rS[0] = 1
-    return _convolve(rS, r4, T)
+    return np.convolve(rS, r4)[:T + 1].tolist()
 
 
 def gauss_single_sum(space: Space, y: float, T: int):

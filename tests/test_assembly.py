@@ -46,6 +46,14 @@ class TestBernoulli:
         assert bernoulli_number(12) == Fraction(-691, 2730)
         assert bernoulli_number(7) == 0
 
+    def test_against_the_recurrence(self):
+        # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, with B_1 = -1/2
+        ref = [Fraction(1)]
+        for n in range(1, 120):
+            ref.append(-sum(math.comb(n + 1, k) * b
+                            for k, b in enumerate(ref)) / (n + 1))
+        assert [bernoulli_number(n) for n in range(120)] == ref
+
 
 class TestZeta:
     def test_closed_forms(self):

@@ -249,6 +249,19 @@ def test_coefficients_require_so_order(tmp_path, capsys):
     assert "so-order" in err
 
 
+def test_completed_refuses_a_pole_of_the_prefactor(tmp_path, capsys):
+    # w = s + k - n - 1 = 5 + 3 - 8 - 1 = -1, a pole of Gamma(w)
+    f = tmp_path / "coeffs.json"
+    f.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "--lattice", "E8",
+                             "--command", "completed", "--s", "5,0",
+                             "--coeffs", str(f), "--weight", "3",
+                             "--so-order", "1")
+    assert code == 2
+    assert "error[PoleAt]" in err
+    assert out == ""
+
+
 # ------------------------------------------------------------------ verify
 
 @pytest.fixture(scope="module")

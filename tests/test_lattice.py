@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from orthokleis.errors import (
@@ -24,6 +24,7 @@ from orthokleis.intmat import (
 )
 from orthokleis.lattice import (
     CATALOG,
+    _lll_gram,
     bordered_forms,
     canonical_columns,
     ellipsoid_points,
@@ -32,6 +33,7 @@ from orthokleis.lattice import (
     is_primitive,
     level,
     load_gram,
+    norm_shell,
     reduced_ellipsoid_points,
     short_vectors,
     so_order_bruteforce,
@@ -482,3 +484,64 @@ def test_half_enumeration_cap_too_small(lat, bound):
                rf"the {k} left of the cap {k}$")
         with pytest.raises(BudgetExceeded, match=msg):
             ellipsoid_points(Q, float(bound), k, half=True)
+
+
+# ------------------------------------------ one enumeration per ball asked
+
+def _count_ball_enumerations(monkeypatch):
+    """Empty the ball cache and record the bound of each enumeration that
+    refills it."""
+    import orthokleis.lattice as lattice
+
+    half_ball.cache_clear()
+    original = lattice.ellipsoid_points
+    bounds = []
+
+    def counted(Q, T, *args, **kwargs):
+        bounds.append(T)
+        return original(Q, T, *args, **kwargs)
+
+    monkeypatch.setattr(lattice, "ellipsoid_points", counted)
+    return bounds
+
+
+def test_base_classes_enumerate_one_ball(monkeypatch):
+    from orthokleis import enumerate_isotropic_classes, majorant_at, space_for
+
+    space = space_for(E8)
+    bounds = _count_ball_enumerations(monkeypatch)
+    R = majorant_at(space, space.base_point())
+    assert len(enumerate_isotropic_classes(space, R, 16.0)) == 245288
+    assert len(bounds) == 1
+
+
+def test_so_order_enumerates_one_ball(monkeypatch):
+    bounds = _count_ball_enumerations(monkeypatch)
+    assert so_order_bruteforce(A2) == 6
+    assert bounds == [2.0]
+
+
+def test_half_ball_arrays_read_only():
+    X, norms = half_ball(D4, 6)
+    for arr in (X, norms, norm_shell(D4, 4)):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert half_ball(D4, 6)[0] is X
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_lll_gram_reduces(rows):
+    A = np.array(rows, dtype=np.int64)
+    assume(round(abs(np.linalg.det(A))) > 0)
+    Q = (A.T @ A).astype(float)
+    U = _lll_gram(Q)
+    assert round(abs(np.linalg.det(U))) == 1
+    C = np.linalg.cholesky(U.T @ Q @ U)
+    mu, d = C / np.diag(C), np.diag(C) ** 2
+    m = Q.shape[0]
+    assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-9)
+    for k in range(1, m):
+        assert d[k] >= (0.75 - mu[k, k - 1] ** 2) * d[k - 1] * (1 - 1e-9)

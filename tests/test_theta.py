@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from orthokleis.errors import BudgetExceeded
-from orthokleis.lattice import ellipsoid_points, load_gram
+from orthokleis.lattice import ellipsoid_points, load_gram, vectors_of_norm
 from orthokleis.majorant import base_majorant, majorant_at
 from orthokleis.orthogroup import (
     TubePoint,
@@ -133,6 +133,23 @@ def test_shell_counts_frozen(sp_a1, sp_e8):
     assert majorant_shell_counts(sp_e8, 8) == [
         1, 8, 264, 1952, 7944, 25008, 64416, 134464, 253704,
     ]
+
+
+@pytest.mark.parametrize("name,T", [("E8", 14), ("A2", 60), ("D4", 20)])
+def test_shell_counts_against_direct_convolution(name, T):
+    def convolve(a, b):
+        out = [0] * (T + 1)
+        for i, ai in enumerate(a):
+            for j in range(T + 1 - i):
+                out[i + j] += ai * b[j]
+        return out
+
+    sp = space_for(load_gram(name))
+    r1 = [2 if t and math.isqrt(t) ** 2 == t else int(t == 0)
+          for t in range(T + 1)]
+    rS = [1] + [2 * len(vectors_of_norm(sp.L, t)) for t in range(1, T + 1)]
+    r2 = convolve(r1, r1)
+    assert majorant_shell_counts(sp, T) == convolve(rS, convolve(r2, r2))
 
 
 def test_translation_periodicity(sp_a2, sp_e8):

@@ -2,11 +2,15 @@
 perfbench/tracer.py; each must still exist, or every traced run fails.
 The package stays off scipy altogether: Gamma and log Gamma come from
 mpmath, and scipy is a test-only dependency.  Its import would cost
-every CLI process more than the work of most commands."""
+every CLI process more than the work of most commands.  Every memo but
+the space_for intern table is a bounded lru_cache, whose own lock makes
+it thread-safe, so no module needs a lock of its own."""
 
+import ast
 import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -60,3 +64,36 @@ def test_import_floor_excludes_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
+
+
+def _package_modules():
+    import orthokleis
+
+    return [importlib.import_module(f"orthokleis.{info.name}")
+            for info in pkgutil.iter_modules(orthokleis.__path__)]
+
+
+def test_every_memo_is_bounded():
+    # space_for interns one Space per lattice: OrthElement compares spaces
+    # by identity, so it must never evict
+    unbounded = set()
+    for module in _package_modules():
+        for name, obj in vars(module).items():
+            params = getattr(obj, "cache_parameters", None)
+            if callable(params) and params()["maxsize"] is None:
+                unbounded.add(f"{obj.__module__}.{name}")
+    assert unbounded == {"orthokleis.orthogroup.space_for"}
+
+
+def test_no_module_imports_threading():
+    for module in _package_modules():
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "threading" for n in names), \
+                module.__name__
