@@ -24,17 +24,15 @@ the cap counts every enumeration layer and every point kept, the short
 vectors included.  All final acceptance tests are exact or carry a 1e-9
 relative boundary guard.
 
-Class lists are columnar.  Both enumerators and `transport_classes` put
-the canonical representatives rank2_column_hnf returns into one
-`_ClassStack`: a (k, m, 2) integer stack (int64, or python ints as dtype
-object past the kernel's int64 headroom) with a float64 detR column, no
-per-class python object.  A lexsort over the row-major entries, with
-the arrival index as the last key, finds the first occurrence of each
-class, so a class keeps the detR of the first candidate that reached
-it; the survivors are then ordered by (detR, representative read row by
-row).  lexsort compares object arrays too, so one path serves both
-dtypes.  The result is a `ClassList`, a sequence of `IsotropicClass`
-items built only when indexed or iterated.
+Class lists are columnar.  Both enumerators and `transport_classes`
+give the canonical representatives rank2_column_hnf returns as one
+(k, m, 2) integer stack (int64, or python ints as dtype object past the
+kernel's int64 headroom).  One lexsort over the row-major entries
+deduplicates it, for both dtypes; detR is then computed once per class,
+from a Lagrange-Gauss reduced basis, so it is a function of the class,
+and the classes are ordered by (detR, representative read row by row).
+The result is a `ClassList`, a sequence of `IsotropicClass` items built
+only when indexed or iterated.
 """
 
 from __future__ import annotations
@@ -91,7 +89,8 @@ def _item(rows, detR) -> IsotropicClass:
 class ClassList(Sequence):
     """A class list in columns: `ells`, a (k, m, 2) stack of canonical
     representatives (int64, or python ints as dtype object), and `detR`,
-    their float64 determinants, in (detR, representative) order.
+    the float64 det(R[ell]) of each class, a function of the class alone
+    (see `_reduced_det`), in (detR, representative) order.
 
     Indexing and iteration build IsotropicClass items on demand; a slice
     is a ClassList sharing the arrays.  Both arrays are read-only.
@@ -125,66 +124,120 @@ class ClassList(Sequence):
         return NotImplemented
 
 
-class _ClassStack:
-    """Canonical representatives and their detR as they arrive, in
-    blocks; `classes()` deduplicates and orders them.
+def _canonical(V, W, primitive_only: bool):
+    """The canonical representatives of the candidate pairs (V[i], W[i]),
+    one (k, m, 2) block per PAIR_SLICE pairs.  Pairs of rank below 2 are
+    dropped, and imprimitive ones when asked."""
+    for lo in range(0, V.shape[0], PAIR_SLICE):
+        g, H = rank2_column_hnf(V[lo:lo + PAIR_SLICE], W[lo:lo + PAIR_SLICE])
+        yield H[g == 1 if primitive_only else g != 0]
 
-    Held rows are deduplicated again whenever they reach twice the count
-    the previous deduplication left (PAIR_SLICE at least), so what is
-    held stays within a constant factor of the class list, however many
-    duplicate candidates an enumeration yields.
-    """
+
+def _distinct(H: np.ndarray) -> np.ndarray:
+    """The index of one row per distinct representative in the stack H, in
+    row-major order of the representatives."""
+    k, m = H.shape[:2]
+    flat = H.reshape(k, 2 * m)
+    # lexsort takes its last key as the primary one
+    order = np.lexsort(flat.T[::-1])
+    new = np.zeros(k, dtype=bool)
+    new[:1] = True
+    for col in flat.T:
+        ranked = col[order]
+        new[1:] |= ranked[1:] != ranked[:-1]
+    return order[new]
+
+
+def _reduce(H: np.ndarray, R: np.ndarray):
+    """(a, b, aa, ab, bb): a Lagrange-Gauss R-reduced basis (a, b) of the
+    two columns of each matrix in the (k, m, 2) integer stack H, and its
+    Gram entries aa = R[a], ab = R(a, b), bb = R[b], with |ab| <= aa / 2
+    and aa <= bb.  Each swap strictly lowers aa, so the reduction ends."""
+    m, top = R.shape[0], math.ceil(np.abs(R).max())
+
+    def gram(x, y):
+        # R = hi + lo, hi on the grid 2^-s: x^t hi y is then a sum of
+        # integer multiples of 2^-s below 2^53, exact in float64 in any
+        # order, and only the small lo share is rounded
+        s = 52 - (m * m * max_abs(x) * max_abs(y) * top).bit_length()
+        hi = np.ldexp(np.rint(np.ldexp(R, s)), -s)
+        xf, yf = x.astype(float), y.astype(float)
+        return (((xf @ hi) * yf).sum(axis=1)
+                + ((xf @ (R - hi)) * yf).sum(axis=1))
+
+    a, b = H[:, :, 0].copy(), H[:, :, 1].copy()
+    aa, ab, bb = gram(a, a), gram(a, b), np.zeros(H.shape[0])
+    live = np.arange(H.shape[0])
+    while live.size:
+        # size-reduce b against a; the rows whose b is then the shorter
+        # swap the two and go round again
+        al, bl = a[live], b[live]
+        mu = np.rint(ab[live] / aa[live])
+        if a.dtype != object and not int64_fits(
+                int(np.abs(mu).max()) * max_abs(al) + max_abs(bl)):
+            a, b, al, bl = (x.astype(object) for x in (a, b, al, bl))
+        mu = (np.frompyfunc(int, 1, 1)(mu) if a.dtype == object
+              else mu.astype(np.int64))
+        b[live] = bl = bl - mu[:, None] * al
+        ab[live], bb[live] = gram(al, bl), gram(bl, bl)
+        live = live[bb[live] < aa[live]]
+        a[live], b[live] = b[live], a[live]
+        aa[live], bb[live] = bb[live], aa[live]
+    return a, b, aa, ab, bb
+
+
+def _reduced_det(H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """det(R[ell]) for each representative ell of the stack H, from the
+    reduced basis of its columns, which depends on the class alone.  With
+    |ab| <= aa / 2 <= bb / 2, aa bb and ab^2 cannot cancel as those of the
+    Hermite form's nearly parallel columns do: the value is within a few
+    units in the last place of the exact det over the float R."""
+    _, _, aa, ab, bb = _reduce(H, R)
+    return aa * bb - ab * ab
+
+
+def _class_list(H: np.ndarray, R: np.ndarray) -> ClassList:
+    """The distinct classes of the canonical representatives H, with detR
+    in the majorant R, ordered by (detR, representative)."""
+    keep = _distinct(H)
+    det = np.concatenate([np.zeros(0), *(
+        _reduced_det(H[keep[lo:lo + PAIR_SLICE]], R)
+        for lo in range(0, keep.shape[0], PAIR_SLICE))])
+    # keep is in representative order, so a stable sort on detR alone
+    # gives the (detR, representative) order
+    order = np.argsort(det, kind="stable")
+    return ClassList(H[keep[order]], det[order])
+
+
+class _ClassStack:
+    """Canonical representatives as they arrive, in blocks, for an
+    enumeration that reaches a class from many candidates.  Held rows are
+    deduplicated whenever they reach twice the count the previous
+    deduplication left (PAIR_SLICE at least), so what is held stays within
+    a constant factor of the class list."""
 
     def __init__(self, m: int):
-        self.blocks = [(np.zeros((0, m, 2), dtype=np.int64), np.zeros(0))]
+        self.blocks = [np.zeros((0, m, 2), dtype=np.int64)]
         self.held = self.unique = 0
 
-    def add(self, H: np.ndarray, det: np.ndarray) -> None:
-        """Hold the (k, m, 2) canonical representatives H with det[i]."""
-        self.blocks.append((H, det))
-        self.held += det.shape[0]
+    def add(self, H: np.ndarray) -> None:
+        """Hold the (k, m, 2) canonical representatives H."""
+        self.blocks.append(H)
+        self.held += H.shape[0]
         if self.held >= 2 * max(self.unique, PAIR_SLICE):
-            H, det, first = self._first_rows()
-            self.blocks = [(H[first], det[first])]
-            self.held = self.unique = first.shape[0]
+            H = self.rows()
+            self.blocks = [H[_distinct(H)]]
+            self.held = self.unique = self.blocks[0].shape[0]
 
-    def add_pairs(self, V, W, det, primitive_only: bool) -> None:
-        """Canonicalise the candidate pairs (V[i], W[i]) in slices and hold
-        each with its determinant det[i].  Pairs of rank below 2 are
-        dropped, and imprimitive ones when asked."""
-        for lo in range(0, V.shape[0], PAIR_SLICE):
-            hi = lo + PAIR_SLICE
-            g, H = rank2_column_hnf(V[lo:hi], W[lo:hi])
-            keep = g == 1 if primitive_only else g != 0
-            self.add(H[keep], det[lo:hi][keep])
+    def add_pairs(self, V, W, primitive_only: bool) -> None:
+        """Canonicalise the candidate pairs (V[i], W[i]) and hold them."""
+        for H in _canonical(V, W, primitive_only):
+            self.add(H)
 
-    def _first_rows(self):
-        """(H, det, first): the held rows joined, and the index of the
-        first occurrence of each representative, in row-major order of
-        the representatives."""
-        H = np.concatenate([b[0] for b in self.blocks])
-        det = np.concatenate([b[1] for b in self.blocks])
-        self.blocks = [(H, det)]
-        k, m = det.shape[0], H.shape[1]
-        flat = H.reshape(k, 2 * m)
-        # lexsort takes its last key as the primary one: representatives
-        # row-major, then arrival, so each run of equals starts with its
-        # first occurrence
-        order = np.lexsort((np.arange(k), *flat.T[::-1]))
-        first = np.zeros(k, dtype=bool)
-        first[:1] = True
-        for col in flat.T:
-            ranked = col[order]
-            first[1:] |= ranked[1:] != ranked[:-1]
-        return H, det, order[first]
-
-    def classes(self) -> ClassList:
-        """The distinct classes held, ordered by (detR, representative)."""
-        H, det, first = self._first_rows()
-        # first is in representative order, so a stable sort on detR
-        # alone gives the (detR, representative) order
-        order = first[np.argsort(det[first], kind="stable")]
-        return ClassList(H[order], det[order])
+    def rows(self) -> np.ndarray:
+        """The held rows as one (k, m, 2) stack."""
+        self.blocks = [np.concatenate(self.blocks)]
+        return self.blocks[0]
 
 
 def _divisors(m: int):
@@ -205,28 +258,11 @@ def _ball_estimate(L: GramLattice, t: float) -> float:
     return vol * max(t, 0.0) ** (n / 2.0) / math.sqrt(float(L.det)) + 1.0
 
 
-def _lagrange_reduce(v1, v2):
-    """Gauss-reduced basis of the plane lattice spanned by v1, v2."""
-
-    def n2(v):
-        return v[0] * v[0] + v[1] * v[1]
-
-    if n2(v1) > n2(v2):
-        v1, v2 = v2, v1
-    while True:
-        num = v2[0] * v1[0] + v2[1] * v1[1]
-        den = n2(v1)
-        mu = (2 * num + den) // (2 * den)  # round(num/den) without floats
-        v2 = (v2[0] - mu * v1[0], v2[1] - mu * v1[1])
-        if n2(v2) >= n2(v1):
-            return v1, v2
-        v1, v2 = v2, v1
-
-
 def _index_sublattices(D: int):
     """Reduced bases of the index-D sublattices of Z^2 (sigma1(D) of them),
     one per column Hermite form."""
-    return [_lagrange_reduce(*zip(*rep)) for rep in hnf_class_reps(D)]
+    a, b, *_ = _reduce(np.array(hnf_class_reps(D)), np.eye(2))
+    return list(zip(map(tuple, a.tolist()), map(tuple, b.tolist())))
 
 
 def _fiber_plan(space: Space, pq):
@@ -290,7 +326,14 @@ def _s1_dtype(space: Space, A, B):
 
 
 def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
-    """The classes at the base-point majorant, held in a _ClassStack."""
+    """The canonical representatives of the classes at the base-point
+    majorant, as one (k, m, 2) stack with no class repeated.
+
+    psi is injective on an isotropic plane P, since R[v] = |psi(v)|^2 > 0
+    for v != 0 in P.  So P is lifted from exactly one image sublattice,
+    and from exactly one pair of fiber points over the one reduced basis
+    _index_sublattices gives that image: each class arrives once, and no
+    deduplication is needed on the way."""
     limit = B * (1.0 + REL_EPS) + REL_EPS
     Dmax = math.isqrt(int(limit))
     # cheap whole-run feasibility scan before any fiber is built; each
@@ -311,7 +354,7 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
             int(est_total), cap)
     # every fiber shell is a slice of one enumeration
     ball = half_ball(space.L, t_max)
-    stack = _ClassStack(space.dim + 2)
+    blocks = [np.zeros((0, space.dim + 2, 2), dtype=np.int64)]
     pair_budget = 0
     for D, pvec, plan1, rvec, plan2 in pairs:
         A1 = _fiber(space, pvec, plan1, ball, cap)
@@ -330,17 +373,17 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
             i, j = np.nonzero(block == 0)
             for s in range(0, i.size, PAIR_SLICE):
                 ii, jj = lo + i[s:s + PAIR_SLICE], j[s:s + PAIR_SLICE]
-                stack.add_pairs(A1[ii], A2[jj],
-                                np.full(ii.size, float(D * D)),
-                                primitive_only)
-    return stack
+                blocks.extend(_canonical(A1[ii], A2[jj], primitive_only))
+    return np.concatenate(blocks)
 
 
 # ---------------------------------------------------- general majorants
 
 def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
                      primitive_only: bool):
-    """The classes at a general majorant R, held in a _ClassStack."""
+    """The canonical representatives of the classes at a general
+    majorant R, as one (k, m, 2) stack; a class may appear more than
+    once."""
     m = space.dim + 2
     limit = B * (1.0 + REL_EPS) + REL_EPS
     B1 = math.sqrt(4.0 * B / 3.0) * (1.0 + REL_EPS)
@@ -351,11 +394,11 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
     spent = iso.shape[0]
     stack = _ClassStack(m)
     if spent == 0:
-        return stack
+        return stack.rows()
     # one sign per line: first nonzero coordinate positive
     lead = iso[np.arange(iso.shape[0]), (iso != 0).argmax(axis=1)]
     reps = sorted(map(tuple, iso[lead > 0].tolist()))
-    # (l, partner, det2) rows waiting for the canonicaliser, in order
+    # (l, partner) rows waiting for the canonicaliser
     pending, waiting = [], 0
     for l in reps:
         lv = np.array(l, dtype=np.int64)
@@ -371,15 +414,11 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
         if ys.shape[0] == 0:
             continue
         cands = ys @ W.T
-        # stacked (1, m) products round exactly as one vector at a time
-        # does, so classes of equal determinant keep their sorted order
-        Cf = cands.astype(float)[:, None, :]
-        Rlm = (Cf @ (R @ lv)[:, None])[:, 0, 0]
-        det2 = Rl * (Cf @ R @ Cf.transpose(0, 2, 1))[:, 0, 0] - Rlm * Rlm
-        ok = det2 <= limit
-        partners = cands[ok]
-        pending.append((np.broadcast_to(lv, partners.shape), partners,
-                        det2[ok]))
+        Cf = cands.astype(float)
+        Rlm = Cf @ (R @ lv)
+        det2 = Rl * ((Cf @ R) * Cf).sum(axis=1) - Rlm * Rlm
+        partners = cands[det2 <= limit]
+        pending.append((np.broadcast_to(lv, partners.shape), partners))
         waiting += partners.shape[0]
         if waiting >= PAIR_SLICE:
             stack.add_pairs(*map(np.concatenate, zip(*pending)),
@@ -387,7 +426,7 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
             pending, waiting = [], 0
     if pending:
         stack.add_pairs(*map(np.concatenate, zip(*pending)), primitive_only)
-    return stack
+    return stack.rows()
 
 
 # ------------------------------------------------------------ public API
@@ -400,12 +439,11 @@ def enumerate_isotropic_classes(space: Space, R: np.ndarray, B: float,
     boundary), S1[ell] = 0, rank 2, primitive unless told otherwise."""
     if not B > 0:
         raise ValueError("B must be positive")
-    if not _force_general and np.allclose(R, base_majorant(space),
-                                          rtol=0.0, atol=1e-12):
-        stack = _base_classes(space, B, cap, primitive_only)
-    else:
-        stack = _general_classes(space, R, B, cap, primitive_only)
-    return stack.classes()
+    R0 = base_majorant(space)
+    if not _force_general and np.allclose(R, R0, rtol=0.0, atol=1e-12):
+        # detR in the integral R0 is exactly the square of the image index
+        return _class_list(_base_classes(space, B, cap, primitive_only), R0)
+    return _class_list(_general_classes(space, R, B, cap, primitive_only), R)
 
 
 def canonical_class(ell) -> list:
@@ -440,17 +478,12 @@ def transport_classes(space: Space, classes: ClassList, g: OrthElement,
     ells = classes.ells
     dt = np.int64 if int64_fits(m * max_abs(g.mat) * max_abs(ells)) else object
     moved = g.mat.astype(dt) @ ells.astype(dt)
-    out = _ClassStack(m)
-    for lo in range(0, moved.shape[0], PAIR_SLICE):
-        block = moved[lo:lo + PAIR_SLICE]
-        rank2, H = rank2_column_hnf(block[:, :, 0], block[:, :, 1])
-        if (rank2 == 0).any():
-            raise RankDeficient("a transported class has rank below 2")
-        Hf = H.astype(float)
-        gram = Hf.transpose(0, 2, 1) @ R_new @ Hf
-        out.add(H, gram[:, 0, 0] * gram[:, 1, 1]
-                - gram[:, 0, 1] * gram[:, 1, 0])
-    return out.classes()
+    # g is a bijection on classes, so none repeats
+    H = np.concatenate([np.zeros((0, m, 2), dtype=np.int64),
+                        *_canonical(moved[:, :, 0], moved[:, :, 1], False)])
+    if H.shape[0] < moved.shape[0]:
+        raise RankDeficient("a transported class has rank below 2")
+    return _class_list(H, R_new)
 
 
 def check_convergence(s: complex, line: float,

@@ -1,6 +1,9 @@
-"""The columnar class list: its sequence contract, and its deduplication
-and order checked against the per-class dict-and-sort bookkeeping it
-replaced, on the same candidate streams."""
+"""The columnar class list: its sequence contract, and its classes, detR
+and order checked against the canonicalised candidate rows, exact
+rational determinants and a plain sort."""
+
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +18,13 @@ from orthokleis.eisenstein import (
 )
 from orthokleis.lattice import load_gram
 from orthokleis.majorant import base_majorant, majorant_at
-from orthokleis.orthogroup import act, random_word, space_for
+from orthokleis.orthogroup import (
+    act,
+    builders,
+    identity_element,
+    random_word,
+    space_for,
+)
 
 
 @pytest.fixture(scope="module")
@@ -29,8 +38,8 @@ def sp_e8():
 
 
 def _record_stacks(monkeypatch):
-    """Make every _ClassStack record the (H, det) blocks it is given, in
-    arrival order; returns the list the stacks are appended to."""
+    """Make every _ClassStack record the blocks it is given, in arrival
+    order; returns the list the stacks are appended to."""
     stacks = []
 
     class Recording(eis._ClassStack):
@@ -40,35 +49,67 @@ def _record_stacks(monkeypatch):
             self.peak = 0  # the most rows held at once
             stacks.append(self)
 
-        def add(self, H, det):
-            self.stream.append((H.copy(), det.copy()))
-            self.peak = max(self.peak, self.held + det.shape[0])
-            super().add(H, det)
+        def add(self, H):
+            self.stream.append(H.copy())
+            self.peak = max(self.peak, self.held + H.shape[0])
+            super().add(H)
 
     monkeypatch.setattr(eis, "_ClassStack", Recording)
     return stacks
 
 
-def _dict_oracle(stream):
-    """The old bookkeeping: a dict keyed by the representative's rows as
-    tuples, first occurrence first, sorted by (detR, ell)."""
-    found = {}
-    for H, det in stream:
-        for col0, col1, d in zip(H[:, :, 0].tolist(), H[:, :, 1].tolist(),
-                                 det.tolist()):
-            key = tuple(zip(col0, col1))
-            if key not in found:
-                found[key] = d
-    return sorted(found.items(), key=lambda kv: (kv[1], kv[0]))
+def _record_candidates(monkeypatch):
+    """Record every block of canonicalised candidate rows, on every path;
+    returns the list the blocks are appended to."""
+    blocks = []
+    canonical = eis._canonical
+
+    def recording(*args):
+        for H in canonical(*args):
+            blocks.append(H.copy())
+            yield H
+
+    monkeypatch.setattr(eis, "_canonical", recording)
+    return blocks
 
 
-def _assert_matches_oracle(classes, stream):
-    ref = _dict_oracle(stream)
+def _exact_det(ells, R):
+    """det(R[ell]) for each ell of a (k, m, 2) stack, as Fractions, in
+    exact rational arithmetic over the float entries of R."""
+    ratios = [x.as_integer_ratio() for x in R.ravel().tolist()]
+    den = max(d for _, d in ratios)  # powers of two: each divides den
+    Rint = np.array([n * (den // d) for n, d in ratios],
+                    dtype=object).reshape(R.shape)
+    E = np.asarray(ells).astype(object)
+    G = E.transpose(0, 2, 1) @ Rint @ E
+    det = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+    return [Fraction(int(d), den * den) for d in det]
+
+
+def _det_error(classes, R):
+    """The largest relative error of the reported detR."""
+    return max((abs(Fraction(d) - e) / e for d, e in zip(
+        classes.detR.tolist(), _exact_det(classes.ells, R))), default=0)
+
+
+def _dict_oracle(blocks):
+    """The classes the candidate rows name, each with the number of
+    candidates that reached it: a dict keyed by each representative's
+    rows as tuples."""
+    return Counter(tuple(map(tuple, h)) for H in blocks for h in H.tolist())
+
+
+def _assert_matches_oracle(classes, blocks, R, rel=2e-13):
+    """One class per distinct candidate row, each detR within rel of
+    exact, ordered by (detR, representative)."""
     assert isinstance(classes, ClassList)
-    assert [c.ell for c in classes] == [ell for ell, _ in ref]
-    got_det = classes.detR.tolist()
-    assert all(type(d) is float for d in got_det)
-    assert got_det == [d for _, d in ref]
+    got = [c.ell for c in classes]
+    assert len(set(got)) == len(got)
+    assert set(got) == set(_dict_oracle(blocks))
+    assert all(type(d) is float for d in classes.detR.tolist())
+    assert _det_error(classes, R) <= rel
+    keys = [(c.detR, c.ell) for c in classes]
+    assert keys == sorted(keys)
 
 
 def _moved_majorant(space, seed):
@@ -81,64 +122,78 @@ def _moved_majorant(space, seed):
     "A2 B=100 base", "A2 B=100 general", "E8 B=5 base",
     "A2 B=20 imprimitive", "A2 B=20 transport", "A2 B=100 moved"])
 def test_order_matches_dict_oracle(case, sp_a2, sp_e8, monkeypatch):
-    R2 = base_majorant(sp_a2)
+    R = R2 = base_majorant(sp_a2)
     source = None
     if case == "A2 B=20 transport":
         # the list to move is enumerated before recording starts
         source = enumerate_isotropic_classes(sp_a2, R2, 20.0)
-    stacks = _record_stacks(monkeypatch)
+    blocks = _record_candidates(monkeypatch)
     if case == "A2 B=100 base":
         got = enumerate_isotropic_classes(sp_a2, R2, 100.0)
     elif case == "A2 B=100 general":
         got = enumerate_isotropic_classes(sp_a2, R2, 100.0,
                                           _force_general=True)
     elif case == "E8 B=5 base":
-        got = enumerate_isotropic_classes(sp_e8, base_majorant(sp_e8), 5.0)
+        R = base_majorant(sp_e8)
+        got = enumerate_isotropic_classes(sp_e8, R, 5.0)
     elif case == "A2 B=20 imprimitive":
         got = enumerate_isotropic_classes(sp_a2, R2, 20.0,
                                           primitive_only=False)
     elif case == "A2 B=20 transport":
-        got = transport_classes(sp_a2, source, *_moved_majorant(sp_a2, 808))
+        g, R = _moved_majorant(sp_a2, 808)
+        got = transport_classes(sp_a2, source, g, R)
     else:
         # at this point the candidates of most classes round to different
-        # detR, so the first occurrence decides each value
-        got = enumerate_isotropic_classes(
-            sp_a2, _moved_majorant(sp_a2, 1)[1], 100.0)
-    assert len(stacks) == 1
-    stream = stacks[0].stream
-    _assert_matches_oracle(got, stream)
+        # detR
+        R = _moved_majorant(sp_a2, 1)[1]
+        got = enumerate_isotropic_classes(sp_a2, R, 100.0)
+    _assert_matches_oracle(got, blocks, R)
+    if "base" in case or "imprimitive" in case:
+        # psi is injective on an isotropic plane, so the base path reaches
+        # each class from exactly one candidate; detR is exact there
+        assert set(_dict_oracle(blocks).values()) == {1}
+        assert _det_error(got, R) == 0
     if case in ("A2 B=100 general", "A2 B=100 moved"):
         # many candidates per class, and hundreds of tied detR
         assert len(got) == 2472
-        assert sum(d.shape[0] for _, d in stream) > 10 * len(got)
+        assert sum(H.shape[0] for H in blocks) > 10 * len(got)
 
 
 def test_object_stack_past_int64_headroom(monkeypatch):
-    # representatives scaled by 2^62 only fit python ints; duplicates with
-    # differing detR, tied detR, and one int64 block among the object ones
-    # all go through the one dedup-and-order path
+    # representatives scaled by 2^62 only fit python ints; duplicates,
+    # tied detR, and one int64 block among the object ones all go
+    # through the one dedup-and-order path
     rng = np.random.default_rng(62)
     m = 6
-    distinct = rng.integers(-3, 4, size=(600, m, 2)).astype(object) * 2**62
-    _record_stacks(monkeypatch)
+
+    def rank2(rows):
+        return rows[[np.linalg.matrix_rank(r) == 2 for r in rows]]
+
+    distinct = rank2(rng.integers(-3, 4, size=(600, m, 2))).astype(object)
+    distinct *= 2**62
+    A = rng.integers(-1, 2, size=(m, m))
+    R = (A.T @ A + np.eye(m, dtype=np.int64)).astype(float)
+    stacks = _record_stacks(monkeypatch)
     stack = eis._ClassStack(m)
-    stream = stack.stream
     for _ in range(40):
-        pick = rng.integers(0, distinct.shape[0], size=700)
-        H = distinct[pick]
-        det = rng.choice([1.0, 4.0, 9.0, 16.0], size=700)
-        stack.add(H, det)
-    small = rng.integers(-3, 4, size=(50, m, 2))
-    small_det = rng.choice([1.0, 4.0], size=50)
-    stack.add(small, small_det)
-    got = stack.classes()
+        stack.add(distinct[rng.integers(0, distinct.shape[0], size=700)])
+    stack.add(rank2(rng.integers(-3, 4, size=(50, m, 2))))
+    stream = stacks[0].stream
+    got = eis._class_list(stack.rows(), R)
     assert got.ells.dtype == object
     # the held rows were deduplicated along the way
-    assert stack.peak < sum(d.shape[0] for _, d in stream)
-    ref = _dict_oracle(stream)
-    assert sorted({ell for ell, _ in ref}) == sorted(
-        {tuple(map(tuple, H_i)) for H, _ in stream for H_i in H.tolist()})
-    _assert_matches_oracle(got, stream)
+    assert stack.peak < sum(H.shape[0] for H in stream)
+    _assert_matches_oracle(got, stream, R)
+
+
+def test_reduction_leaves_int64_before_it_could_overflow():
+    # reducing (1, 0), (2^62, 1) subtracts 2^62 times the first column,
+    # past the int64 headroom the step checks: it runs on python ints
+    H = np.array([[[1, 2**62], [0, 1]], [[1, 5], [2, 11]]], dtype=np.int64)
+    a, b, aa, ab, bb = eis._reduce(H, np.eye(2))
+    assert a.dtype == object
+    assert a.tolist() == [[1, 0], [0, 1]] and b.tolist() == [[0, 1], [1, 0]]
+    assert eis._reduced_det(H, np.eye(2)).tolist() == [1.0, 1.0]
 
 
 def test_held_rows_follow_classes_not_candidates(sp_a2, monkeypatch):
@@ -152,7 +207,7 @@ def test_held_rows_follow_classes_not_candidates(sp_a2, monkeypatch):
     monkeypatch.setattr(eis, "PAIR_SLICE", slice_rows)
     got = enumerate_isotropic_classes(sp_a2, R, 100.0, _force_general=True)
     assert got == ref
-    candidates = sum(d.shape[0] for _, d in stacks[0].stream)
+    candidates = sum(H.shape[0] for H in stacks[0].stream)
     assert candidates == 38112
     assert stacks[0].peak < 2 * len(got) + slice_rows
     assert 4 * stacks[0].peak < candidates
@@ -188,3 +243,44 @@ def test_sequence_contract(sp_a2):
     for c in items:
         total += c.detR ** (-s / 2)
     assert class_value(cls, s) == total
+
+
+def test_arrival_order_does_not_matter(sp_a2, monkeypatch):
+    # at this point 2175 of the 2472 classes are reached by candidates
+    # whose own determinants differ, so a value taken from whichever
+    # candidate came first would depend on the order
+    R = _moved_majorant(sp_a2, 1)[1]
+    blocks = _record_candidates(monkeypatch)
+    ref = enumerate_isotropic_classes(sp_a2, R, 100.0)
+    rows = np.concatenate(blocks)
+    assert len(ref) == 2472 and rows.shape[0] > 10 * len(ref)
+    rng = np.random.default_rng(5)
+    for order in (np.arange(rows.shape[0]), np.arange(rows.shape[0])[::-1],
+                  rng.permutation(rows.shape[0])):
+        stack = eis._ClassStack(6)
+        for lo in range(0, order.size, 1000):
+            stack.add(rows[order[lo:lo + 1000]])
+        got = eis._class_list(stack.rows(), R)
+        assert np.array_equal(got.ells, ref.ells)
+        assert got.detR.tobytes() == ref.detR.tobytes()
+
+
+def test_transported_det_is_exact_to_rounding(sp_e8):
+    # the word perfbench/inputs.py builds as E8 word 4 of seed 2; a float
+    # det over the transported Hermite forms errs by 8.1e-10 here
+    g = identity_element(sp_e8)
+    for kind, params in [
+            ("translation", {"lam": [1, -1, 0, 1, 0, 1, 1, -1, 0, 1]}),
+            ("heisenberg", {"x": [-1, -1, 1, -1, -1, 1, 1, -1],
+                            "y": [0, 1, -1, 1, -1, 1, -1, 0]})]:
+        g = g @ builders(sp_e8, kind, **params)
+    R = majorant_at(sp_e8, act(g, sp_e8.base_point()))
+    base = enumerate_isotropic_classes(sp_e8, base_majorant(sp_e8), 5.0)
+    moved = transport_classes(sp_e8, base, g, R)
+    assert len(moved) == 968
+    assert _det_error(moved, R) <= 2e-13
+    # the value is one of the class: enumerating at g<base> gives the
+    # same list, bit for bit
+    honest = enumerate_isotropic_classes(sp_e8, R, 5.0)
+    assert np.array_equal(moved.ells, honest.ells)
+    assert moved.detR.tobytes() == honest.detR.tobytes()
