@@ -189,6 +189,7 @@ def bordered_forms(L: GramLattice) -> BorderedForms:
 
 DEFAULT_CAP = 8_000_000
 _LLL_DELTA = 0.75  # the Lovasz condition's constant
+_REBUILD_BLOCK = 4096  # rows per block when rows are rebuilt from links
 
 
 def _cholesky_upper(Q: np.ndarray) -> np.ndarray:
@@ -361,6 +362,40 @@ def _isotropic_last(S: np.ndarray, tails: np.ndarray, lo, hi, cap: int,
     return idx, vals
 
 
+def _rebuild(links) -> np.ndarray:
+    """The rows of the last level in `links`, its own value first, then
+    the value of each ancestor, found by following the parent links up;
+    no links give the one empty row above the top level.  The rows are
+    filled a block at a time, so the column writes stay in cache."""
+    if not links:
+        return np.zeros((1, 0), dtype=np.int64)
+    idx, vi = links[-1]
+    rows = np.empty((vi.size, len(links)), dtype=np.int64)
+    for start in range(0, vi.size, _REBUILD_BLOCK):
+        out = rows[start:start + _REBUILD_BLOCK]
+        out[:, 0] = vi[start:start + _REBUILD_BLOCK]
+        at = idx[start:start + _REBUILD_BLOCK]
+        for j in range(1, len(links)):
+            up, val = links[-1 - j]
+            out[:, j] = val[at]
+            at = up[at]
+    return rows
+
+
+def _zero_child(links):
+    """Index in the last level of `links` of the row whose chain is all
+    zero, or None.  Parents are nondecreasing and each parent's values
+    ascend, so two binary searches per level follow the zero child."""
+    at = 0
+    for idx, vi in links:
+        first = int(np.searchsorted(idx, at, side="left"))
+        end = int(np.searchsorted(idx, at, side="right"))
+        at = first + int(np.searchsorted(vi[first:end], 0))
+        if at == end or vi[at] != 0:
+            return None
+    return at
+
+
 def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
                iso: np.ndarray | None = None,
                half: bool = False) -> np.ndarray:
@@ -368,13 +403,21 @@ def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
     parent, each parent's values ascending.  With half=True a level whose
     tail (the coordinates above it) is all zero starts at 0, not below:
     that keeps the y whose last nonzero coordinate is positive, one of
-    each pair {y, -y}."""
+    each pair {y, -y}.
+
+    A level i keeps only what the levels below it read: for each
+    surviving row its (parent index, value) link to the level above, its
+    partial sum sq of squares, and the accumulator columns acc[:, :i]
+    still to be centred on.  The rows are rebuilt once, at the end, by
+    following the links upward; with `iso` the tails the last layer
+    solves on come from that same walk one level early.  The all-zero
+    chain is dropped from the last level's links before the rebuild."""
     m = Q.shape[0]
     U = _cholesky_upper(Q)
     tol = 1e-9 * max(T, 1.0)
     acc = np.zeros((1, m))
     sq = np.zeros(1)
-    tails = np.zeros((1, 0), dtype=np.int64)
+    links = []  # (parent index, value) of each level's survivors
     for i in range(m - 1, -1, -1):
         rem = T + tol - sq
         uii = U[i, i]
@@ -388,22 +431,27 @@ def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
             # at the child 0, which lies inside whatever ball is nonempty
             lo[0] = max(lo[0], 0)
         if i == 0 and iso is not None:
+            tails = _rebuild(links)
             idx, vi = _isotropic_last(iso, tails, lo, hi, cap, spent)
         else:
             _check_layer(i, int(np.maximum(hi - lo + 1, 0).sum()), cap, spent)
             idx, vi = _interval_points(lo, hi)
         if idx.size == 0:
             return np.zeros((0, m), dtype=np.int64)
+        sq = sq[idx] + (acc[idx, i] + vi * uii) ** 2
+        keep = sq <= T + tol
+        idx, vi = idx[keep], vi[keep]
         if i:
-            acc = acc[idx] + vi[:, None] * U[:, i][None, :]
-            sq = sq[idx] + acc[:, i] ** 2
-            keep = sq <= T + tol
-            acc, sq = acc[keep], sq[keep]
-        else:  # the last layer needs only its first coordinate
-            keep = sq[idx] + (acc[idx, 0] + vi * U[0, 0]) ** 2 <= T + tol
-        tails = np.hstack([vi[keep][:, None], tails[idx][keep]])
-    nz = np.any(tails != 0, axis=1)
-    return tails[nz]
+            acc = acc[idx, :i] + vi[:, None] * U[:i, i]
+            sq = sq[keep]
+        links.append((idx, vi))
+    zero = _zero_child(links)
+    if zero is not None:
+        idx, vi = np.delete(idx, zero), np.delete(vi, zero)
+    if iso is not None:
+        return np.column_stack((vi, tails[idx]))
+    links[-1] = (idx, vi)
+    return _rebuild(links)
 
 
 # ------------------------------------------------ shells of the lattice

@@ -491,11 +491,11 @@ def test_criterion_7_special_function_suite():
 # -------------------------------------------------------------- 8
 
 
-def test_criterion_8_end_to_end_verify():
+def test_criterion_8_end_to_end_verify(package_env):
     t0 = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "orthokleis.cli", "--command", "verify"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300, env=package_env)
     elapsed = time.perf_counter() - t0
     assert proc.returncode == 0, proc.stderr[-2000:]
     doc = json.loads(proc.stdout)

@@ -265,13 +265,13 @@ def test_completed_refuses_a_pole_of_the_prefactor(tmp_path, capsys):
 # ------------------------------------------------------------------ verify
 
 @pytest.fixture(scope="module")
-def verify_a2():
+def verify_a2(package_env):
     import subprocess
     import sys
     proc = subprocess.run(
         [sys.executable, "-m", "orthokleis.cli", "--lattice", "A2",
          "--command", "verify"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=package_env)
     return proc
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,12 @@ from orthokleis.intmat import (
 )
 from orthokleis.lattice import (
     CATALOG,
+    DEFAULT_CAP,
+    _check_layer,
+    _cholesky_upper,
+    _fp_points,
+    _interval_points,
+    _isotropic_last,
     _lll_gram,
     bordered_forms,
     canonical_columns,
@@ -545,3 +552,132 @@ def test_lll_gram_reduces(rows):
     assert np.all(np.abs(np.tril(mu, -1)) <= 0.5 + 1e-9)
     for k in range(1, m):
         assert d[k] >= (0.75 - mu[k, k - 1] ** 2) * d[k - 1] * (1 - 1e-9)
+
+
+# ------------------------------- the layered enumeration against its oracle
+
+def _reference_fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
+                         iso: np.ndarray | None = None,
+                         half: bool = False) -> np.ndarray:
+    """The whole-row enumeration `_fp_points` replaced, kept verbatim: each
+    level updates every accumulator column and re-stacks every earlier
+    coordinate."""
+    m = Q.shape[0]
+    U = _cholesky_upper(Q)
+    tol = 1e-9 * max(T, 1.0)
+    acc = np.zeros((1, m))
+    sq = np.zeros(1)
+    tails = np.zeros((1, 0), dtype=np.int64)
+    for i in range(m - 1, -1, -1):
+        rem = T + tol - sq
+        uii = U[i, i]
+        cen = -acc[:, i] / uii
+        rad = np.sqrt(np.maximum(rem, 0.0)) / uii
+        lo = np.ceil(cen - rad - 1e-12).astype(np.int64)
+        hi = np.floor(cen + rad + 1e-12).astype(np.int64)
+        if half:
+            # row 0 carries the all-zero tail: rows list their parents in
+            # order, and the clipped interval of the row 0 above starts
+            # at the child 0, which lies inside whatever ball is nonempty
+            lo[0] = max(lo[0], 0)
+        if i == 0 and iso is not None:
+            idx, vi = _isotropic_last(iso, tails, lo, hi, cap, spent)
+        else:
+            _check_layer(i, int(np.maximum(hi - lo + 1, 0).sum()), cap, spent)
+            idx, vi = _interval_points(lo, hi)
+        if idx.size == 0:
+            return np.zeros((0, m), dtype=np.int64)
+        if i:
+            acc = acc[idx] + vi[:, None] * U[:, i][None, :]
+            sq = sq[idx] + acc[:, i] ** 2
+            keep = sq <= T + tol
+            acc, sq = acc[keep], sq[keep]
+        else:  # the last layer needs only its first coordinate
+            keep = sq[idx] + (acc[idx, 0] + vi * U[0, 0]) ** 2 <= T + tol
+        tails = np.hstack([vi[keep][:, None], tails[idx][keep]])
+    nz = np.any(tails != 0, axis=1)
+    return tails[nz]
+
+
+def _widest_layer(Q, T, iso, half):
+    """The largest candidate count of any layer of the reference: each
+    refusal names the first layer wider than the cap, so raising the cap
+    to that count moves on to the next wider layer."""
+    cap = 0
+    while True:
+        try:
+            _reference_fp_points(Q, T, cap, 0, iso, half)
+            return cap
+        except BudgetExceeded as e:
+            cap = e.count
+
+
+@st.composite
+def layered_problem(draw):
+    """(Q, T, iso, half): a random even form of rank 1-8 as floats, a
+    bound, and either no isotropy form or a symmetric integer one, whose
+    first row may vanish (the rows with a = b = c = 0) or start with 0
+    (the linear case)."""
+    lat = draw(st.one_of(even_gram(), even_gram(ranks=(5, 8), entry=1)))
+    n = lat.n
+    iso = None
+    if draw(st.booleans()):
+        entries = draw(st.lists(st.integers(-3, 3), min_size=n * n,
+                                max_size=n * n))
+        iso = np.array(entries).reshape(n, n)
+        iso = iso + iso.T
+        first = draw(st.sampled_from(["any", "a=0", "row=0"]))
+        if first != "any":
+            iso[0, 0] = 0
+        if first == "row=0":
+            iso[0, :] = iso[:, 0] = 0
+    return (lat.gram_np().astype(float), float(draw(st.integers(0, 10))),
+            iso, draw(st.booleans()))
+
+
+@settings(max_examples=120, deadline=None)
+@given(layered_problem())
+def test_fp_points_match_reference_rows_and_refusals(problem):
+    Q, T, iso, half = problem
+    expect = _reference_fp_points(Q, T, 10 ** 6, 0, iso, half)
+    got = _fp_points(Q, T, 10 ** 6, 0, iso, half)
+    assert got.dtype == np.int64 and np.array_equal(got, expect)
+    cap = _widest_layer(Q, T, iso, half) - 1
+    with pytest.raises(BudgetExceeded) as ref:
+        _reference_fp_points(Q, T, cap, 0, iso, half)
+    with pytest.raises(BudgetExceeded) as new:
+        _fp_points(Q, T, cap, 0, iso, half)
+    assert str(new.value) == str(ref.value)
+    assert (new.value.count, new.value.cap) == (ref.value.count, cap)
+
+
+@pytest.fixture(scope="module")
+def e8_theta_form():
+    """The 24-dimensional form kron(Im Z, R) of an E8 theta sum at the
+    base point, at the generic Siegel point of the CLI."""
+    from orthokleis import majorant_at, space_for
+    from orthokleis.cli import GENERIC_Z
+
+    space = space_for(E8)
+    return np.kron(GENERIC_Z.imag, majorant_at(space, space.base_point()))
+
+
+def test_fp_points_match_reference_on_e8_theta_form(e8_theta_form):
+    U = _lll_gram(e8_theta_form)
+    Qred = U.T @ e8_theta_form @ U
+    got = _fp_points(Qred, 5.0, DEFAULT_CAP, half=True)
+    assert got.shape == (386672, 24)
+    assert np.array_equal(got, _reference_fp_points(Qred, 5.0, DEFAULT_CAP,
+                                                    half=True))
+
+
+def test_e8_theta_enumeration_memory(e8_theta_form):
+    # the whole-row enumeration peaked at 287 MiB on this query; the
+    # parent links keep one (parent, value) pair per surviving row
+    tracemalloc.start()
+    try:
+        reduced_ellipsoid_points(e8_theta_form, 5.0, DEFAULT_CAP, half=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 240 * 2 ** 20

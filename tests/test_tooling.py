@@ -9,7 +9,6 @@ it thread-safe, so no module needs a lock of its own."""
 import ast
 import importlib
 import importlib.util
-import os
 import pkgutil
 import subprocess
 import sys
@@ -33,25 +32,17 @@ def test_traced_function_resolves(layer, func):
     assert callable(getattr(module, func, None)), f"orthokleis.{layer}.{func}"
 
 
-def test_import_floor_excludes_scipy_integrate():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
+def test_import_floor_excludes_scipy_integrate(package_env):
     code = ("import sys, orthokleis; "
             "assert 'scipy.integrate' not in sys.modules, 'import'; "
             "orthokleis.p2_integral_check(2.0, [[1, 0], [0, 1]]); "
             "assert 'scipy.integrate' not in sys.modules, 'first call'")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=package_env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
 
-def test_import_floor_excludes_scipy():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(src), env.get("PYTHONPATH")) if p)
+def test_import_floor_excludes_scipy(package_env):
     code = ("import sys, orthokleis; "
             "from orthokleis.assembly import gamma2; "
             "orthokleis.xi(0.3 + 4j); orthokleis.xi(-2.5); "
@@ -61,7 +52,7 @@ def test_import_floor_excludes_scipy():
             "loaded = [m for m in sys.modules "
             "if m == 'scipy' or m.startswith('scipy.')]; "
             "assert not loaded, loaded")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=package_env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
