@@ -184,9 +184,13 @@ def cmd_eval_eisenstein(space, s_grid, B: float) -> list[dict]:
         check_convergence(s, space.n + 1)
     R = majorant_at(space, space.base_point())
     # each rung is its own enumeration, so the monotonicity flags compare
-    # independent results
-    steps = sorted({min(B, max(1.0, B / 4)), min(B, max(1.0, B / 2)), B})
-    ladder = [(b, enumerate_isotropic_classes(space, R, b)) for b in steps]
+    # independent results; the top rung runs first, so a budget refusal
+    # comes before any lower rung is enumerated, and the ladder is then
+    # put back in ascending order
+    steps = sorted({min(B, max(1.0, B / 4)), min(B, max(1.0, B / 2)), B},
+                   reverse=True)
+    ladder = [(b, enumerate_isotropic_classes(space, R, b))
+              for b in steps][::-1]
     rows = []
     for idx, s in enumerate(s_grid, start=1):
         diagnostics = [series_report(classes, s, b) for b, classes in ladder]

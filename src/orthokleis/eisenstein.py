@@ -113,9 +113,13 @@ class ClassList(Sequence):
 
     def __iter__(self):
         # python ints for one slice at a time, so iterating a long list
-        # never holds it all as nested lists
+        # never holds it all; the flat entries are paired into rows and
+        # the rows grouped m at a time by zip, with no per-class tuple calls
+        m = self.ells.shape[1]
         for lo in range(0, len(self), PAIR_SLICE):
-            yield from map(_item, self.ells[lo:lo + PAIR_SLICE].tolist(),
+            flat = iter(self.ells[lo:lo + PAIR_SLICE].ravel().tolist())
+            rows = zip(flat, flat)
+            yield from map(IsotropicClass, zip(*[rows] * m),
                            self.detR[lo:lo + PAIR_SLICE].tolist())
 
     def __eq__(self, other):

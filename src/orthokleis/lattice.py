@@ -189,7 +189,9 @@ def bordered_forms(L: GramLattice) -> BorderedForms:
 
 DEFAULT_CAP = 8_000_000
 _LLL_DELTA = 0.75  # the Lovasz condition's constant
-_REBUILD_BLOCK = 4096  # rows per block when rows are rebuilt from links
+# rows per block wherever rows are processed a block at a time: the rebuild
+# from links here and the theta evaluation
+ROW_BLOCK = 4096
 
 
 def _cholesky_upper(Q: np.ndarray) -> np.ndarray:
@@ -371,10 +373,10 @@ def _rebuild(links) -> np.ndarray:
         return np.zeros((1, 0), dtype=np.int64)
     idx, vi = links[-1]
     rows = np.empty((vi.size, len(links)), dtype=np.int64)
-    for start in range(0, vi.size, _REBUILD_BLOCK):
-        out = rows[start:start + _REBUILD_BLOCK]
-        out[:, 0] = vi[start:start + _REBUILD_BLOCK]
-        at = idx[start:start + _REBUILD_BLOCK]
+    for start in range(0, vi.size, ROW_BLOCK):
+        out = rows[start:start + ROW_BLOCK]
+        out[:, 0] = vi[start:start + ROW_BLOCK]
+        at = idx[start:start + ROW_BLOCK]
         for j in range(1, len(links)):
             up, val = links[-1 - j]
             out[:, j] = val[at]

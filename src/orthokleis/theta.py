@@ -14,9 +14,13 @@ column pairs, once per report: `theta_report` takes the value and the term
 count from the same enumerated terms.  The terms at ell and -ell are
 equal, so the enumeration lists one row per pair and the sum is doubled.
 The rows are evaluated in the LLL basis the enumeration reduced to, never
-mapped back: the phase forms are carried into that basis exactly and
-evaluated on the integer rows with float64 matmuls where a headroom bound
-shows them exact (`intmat.quad_rows`).  The factored diagonal path counts
+mapped back: the phase forms are carried into that basis exactly.  The
+evaluation is one pass over the rows, a block of `lattice.ROW_BLOCK` at a
+time: one float64 copy of the block and one matmul against the three
+phase forms and the decay form stacked side by side.  The phase sums are
+integers, exact in float64 under `intmat.quad_rows`' headroom bound,
+checked once over all rows; past the bound each block's phases come from
+`quad_rows` itself.  The factored diagonal path counts
 lattice shells by a bincount over one cached ball of the lattice
 (`lattice.half_ball`).
 
@@ -36,8 +40,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BudgetExceeded
-from .intmat import congruent_form, quad_rows
-from .lattice import DEFAULT_CAP, half_ball, reduced_ellipsoid_points
+from .intmat import FLOAT64_EXACT, congruent_form, max_abs, quad_rows
+from .lattice import (
+    DEFAULT_CAP,
+    ROW_BLOCK,
+    half_ball,
+    reduced_ellipsoid_points,
+)
 from .majorant import base_majorant, majorant_at
 from .orthogroup import Space, TubePoint
 
@@ -75,25 +84,53 @@ class ThetaQuery:
         return self.Z.imag
 
 
-def _term_data(q: ThetaQuery):
-    """(truncated sum, number of nonzero terms) from one enumeration of
-    the column pairs with tr(R_W[ell] Y) <= B, one per pair {ell, -ell}.
+def _term_blocks(q: ThetaQuery):
+    """The enumerated rows' exponents, one block of at most ROW_BLOCK rows
+    at a time: (s11, s12x2, s22, decay) as float64 arrays, one entry per
+    pair {ell, -ell} with tr(R_W[ell] Y) <= B.
 
     The rows stay in the LLL basis U of the enumeration, ell = U y: the
     decay is Qred[y] with Qred = U^t Q U, and the phase pairs X with the
-    three integer forms U^t (E_ij x S1) U, carried exactly."""
+    three integer forms U^t (E_ij x S1) U, carried exactly.  Each block is
+    copied to float64 once and multiplied once by the stacked k x 4k
+    matrix [A11 | A12 | A22 | Qred]; a row's four values are then its
+    products with its own four k-slices.  The phase sums are integers,
+    exact in float64 while quad_rows' bound k^2 max|A| max|y|^2 stays
+    below 2^53, checked once over the three forms and all rows; past it
+    every block takes its phases from `quad_rows`, whose int64 and
+    python-int routes are exact."""
     Q = np.kron(q.Y, majorant_at(q.space, q.W))
     U, rows = reduced_ellipsoid_points(Q, q.B, q.cap, half=True)
     S1 = np.array(q.space.S1_int, dtype=object)
-    s11, s12x2, s22 = (
-        quad_rows(congruent_form(np.kron(E, S1), U), rows).astype(float)
-        for E in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
-    Yf = rows.astype(float)
-    decay = ((Yf @ (U.T @ Q @ U)) * Yf).sum(axis=1)
+    forms = [congruent_form(np.kron(E, S1), U)
+             for E in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]])]
+    Qred = U.T @ Q @ U
+    k = rows.shape[1]
+    bound = k * k * max(map(max_abs, forms)) * max_abs(rows) ** 2
+    exact = bound < FLOAT64_EXACT
+    F = np.hstack([A.astype(float) for A in forms] + [Qred]) if exact else Qred
+    for start in range(0, rows.shape[0], ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        Yf = block.astype(float)
+        s = np.einsum("rfk,rk->rf", (Yf @ F).reshape(len(Yf), -1, k), Yf)
+        if exact:
+            yield s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+        else:
+            yield (*(quad_rows(A, block).astype(float) for A in forms),
+                   s[:, 0])
+
+
+def _term_data(q: ThetaQuery):
+    """(truncated sum, number of nonzero terms) from one enumeration,
+    evaluated a block of rows at a time (`_term_blocks`); the terms at ell
+    and -ell are equal, so each row counts twice."""
     X = q.X
-    phase = s11 * X[0, 0] + s12x2 * X[0, 1] + s22 * X[1, 1]
-    vals = np.exp(1j * math.pi * phase - math.pi * decay)
-    return 1.0 + 2.0 * complex(vals.sum()), 2 * rows.shape[0]
+    total, rows = 0j, 0
+    for s11, s12x2, s22, decay in _term_blocks(q):
+        phase = s11 * X[0, 0] + s12x2 * X[0, 1] + s22 * X[1, 1]
+        total += np.exp(1j * math.pi * phase - math.pi * decay).sum()
+        rows += decay.size
+    return 1.0 + 2.0 * complex(total), 2 * rows
 
 
 def theta_truncated(q: ThetaQuery) -> complex:

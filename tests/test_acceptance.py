@@ -238,7 +238,7 @@ def _invariance_by_moved_determinants(space, rng, B, s, words, cap):
         RW = majorant_at(space, act(g, base))
         gmat = np.array([[int(x) for x in row] for row in g.mat],
                         dtype=np.int64)
-        moved = np.einsum("ij,njk->nik", gmat, ells).astype(float)
+        moved = (gmat @ ells).astype(float)
         q = moved.swapaxes(1, 2) @ (RW @ moved)
         det_moved = q[:, 0, 0] * q[:, 1, 1] - q[:, 0, 1] * q[:, 1, 0]
         set_resid = np.max(

@@ -245,6 +245,27 @@ def test_sequence_contract(sp_a2):
     assert class_value(cls, s) == total
 
 
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_iteration_matches_per_class_items(dtype, monkeypatch):
+    # iteration groups one flat list of entries into items, a slice at a
+    # time; each item equals the one built class by class from nested
+    # lists, for int64 and python-int stacks and across slice boundaries
+    rng = np.random.default_rng(5)
+    ells = rng.integers(-9, 10, size=(50, 7, 2)).astype(dtype)
+    if dtype is object:
+        ells *= 2**70
+    cls = ClassList(ells, rng.random(50))
+    want = [IsotropicClass(tuple(map(tuple, e.tolist())), float(d))
+            for e, d in zip(ells, cls.detR)]
+    monkeypatch.setattr(eis, "PAIR_SLICE", 16)
+    got = list(cls)
+    assert got == want and [cls[i] for i in range(50)] == want
+    assert [hash(c) for c in got] == [hash(c) for c in want]
+    assert all(type(x) is int for c in got for row in c.ell for x in row)
+    assert all(type(row) is tuple and len(row) == 2
+               for c in got for row in c.ell)
+
+
 def test_arrival_order_does_not_matter(sp_a2, monkeypatch):
     # at this point 2175 of the 2472 classes are reached by candidates
     # whose own determinants differ, so a value taken from whichever

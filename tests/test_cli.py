@@ -181,6 +181,20 @@ def test_each_rung_enumerated_once_per_command(monkeypatch, capsys):
     assert scans == []
 
 
+def test_eisenstein_ladder_refused_at_its_top_rung(monkeypatch, capsys):
+    # the top rung is enumerated first, so a budget refusal comes on the
+    # first enumeration and no lower rung is spent before it
+    from orthokleis import cli
+
+    calls = _count_calls(monkeypatch, [cli], "enumerate_isotropic_classes")
+    code, out, err = run_cli(capsys, "--lattice", "E8", "--command",
+                             "eisenstein", "--s", "12,0", "--B", "100")
+    assert code == 2 and out == ""
+    assert "BudgetExceeded" in err
+    assert "2.94e+09" in err and "up to 10 " in err
+    assert [args[2] for args in calls] == [100.0]
+
+
 def test_theta_within_tail_of_doubled_rerun(capsys):
     code, doc, _ = run_json(capsys, "--lattice", "A2", "--command", "theta",
                             "--B", "3")

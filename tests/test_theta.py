@@ -7,12 +7,20 @@ against the Kronecker-form Fincke-Pohst path before being recorded.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from orthokleis import intmat, theta
 from orthokleis.errors import BudgetExceeded
-from orthokleis.lattice import ellipsoid_points, load_gram, vectors_of_norm
+from orthokleis.intmat import congruent_form, quad_rows
+from orthokleis.lattice import (
+    ellipsoid_points,
+    load_gram,
+    reduced_ellipsoid_points,
+    vectors_of_norm,
+)
 from orthokleis.majorant import base_majorant, majorant_at
 from orthokleis.orthogroup import (
     TubePoint,
@@ -366,3 +374,95 @@ def test_e8_orbit_point_term_count(sp_e8):
     rep = theta_report(ThetaQuery(sp_e8, GENERIC_Z,
                                   act(h, base_tube(sp_e8)), 5.0))
     assert rep["classes"] == 773345
+
+
+def reference_term_data(q):
+    """The whole-array evaluation the blocked one replaced: (value,
+    nonzero terms, s11, s12x2, s22), each phase form by its own
+    `quad_rows` call and the decay by one more pass over the rows."""
+    Q = np.kron(q.Y, majorant_at(q.space, q.W))
+    U, rows = reduced_ellipsoid_points(Q, q.B, q.cap, half=True)
+    S1 = np.array(q.space.S1_int, dtype=object)
+    s11, s12x2, s22 = (
+        quad_rows(congruent_form(np.kron(E, S1), U), rows).astype(float)
+        for E in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 0], [0, 1]]))
+    Yf = rows.astype(float)
+    decay = ((Yf @ (U.T @ Q @ U)) * Yf).sum(axis=1)
+    X = q.X
+    phase = s11 * X[0, 0] + s12x2 * X[0, 1] + s22 * X[1, 1]
+    vals = np.exp(1j * math.pi * phase - math.pi * decay)
+    value = 1.0 + 2.0 * complex(vals.sum())
+    return value, 2 * rows.shape[0], s11, s12x2, s22
+
+
+def blocked_phases(q):
+    """The three phase vectors of `_term_blocks`, blocks joined."""
+    blocks = list(theta._term_blocks(q))
+    return [np.concatenate([b[j] for b in blocks]) for j in range(3)]
+
+
+def assert_matches_reference(q, want):
+    value, terms, *phases = want
+    got_value, got_terms = theta._term_data(q)
+    assert got_terms == terms
+    assert abs(got_value - value) <= 1e-13 * abs(value)
+    for got, ref in zip(blocked_phases(q), phases):
+        assert np.array_equal(got, ref)
+
+
+def queries(name, B):
+    """Queries at the base point and at one moved point."""
+    sp = space_for(load_gram(name))
+    rng = np.random.default_rng(31)
+    moved = act(random_word(sp, rng, length=4), random_point(sp, rng))
+    return [ThetaQuery(sp, GENERIC_Z, W, B) for W in (base_tube(sp), moved)]
+
+
+# row counts (base, moved): A2 B=4 1131/993, D4 B=3 392/462 and E8 B=3
+# 2336/3427 fit in one block; A2 B=6 12407/11978, D4 B=5 13496/13862 and
+# E8 B=4 44052/34665 span several, the last one partial
+@pytest.mark.parametrize("name,B", [("A2", 4.0), ("A2", 6.0), ("D4", 3.0),
+                                    ("D4", 5.0), ("E8", 3.0), ("E8", 4.0)])
+def test_blocked_evaluation_matches_whole_array(name, B, monkeypatch):
+    for q in queries(name, B):
+        want = reference_term_data(q)
+        rows = want[1] // 2
+        assert_matches_reference(q, want)
+        # a block size dividing the row count: the last block is full
+        divisor = next(d for d in range(2, rows + 1) if rows % d == 0)
+        monkeypatch.setattr(theta, "ROW_BLOCK", rows // divisor)
+        assert_matches_reference(q, want)
+        monkeypatch.setattr(theta, "ROW_BLOCK", rows)
+        assert_matches_reference(q, want)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name,B", [("A2", 6.0), ("D4", 4.0), ("E8", 3.0)])
+def test_blocked_evaluation_past_the_float_bound(name, B, monkeypatch):
+    """With the exactness limit lowered past every bound, each block takes
+    its phases from quad_rows' int64 route: the same integers."""
+    for q in queries(name, B):
+        want = reference_term_data(q)
+        monkeypatch.setattr(theta, "FLOAT64_EXACT", 1)
+        monkeypatch.setattr(intmat, "FLOAT64_EXACT", 1)
+        assert_matches_reference(q, want)
+        monkeypatch.undo()
+
+
+def test_e8_theta_report_memory(sp_e8):
+    """One E8 B=5 report at W = h<base> (the benchmark's theta seed 3)
+    peaks below 150 MiB: whole-array evaluation peaked at 224 MiB, and the
+    enumeration alone peaks near 136 MiB."""
+    h = (translation(sp_e8, [-1, -1, 0, -1, 0, 0, 0, 0, 0, 0])
+         @ heisenberg(sp_e8, [-1, 0, 1, -1, -1, 1, -1, 0],
+                      [0, -1, 0, 1, 1, 0, 0, 1]))
+    q = ThetaQuery(sp_e8, GENERIC_Z, act(h, base_tube(sp_e8)), 5.0)
+    majorant_at(sp_e8, q.W)  # fill the memo first: the peak is the report's
+    tracemalloc.start()
+    try:
+        rep = theta_report(q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep["classes"] == 773345
+    assert peak < 150 * 2 ** 20
