@@ -51,6 +51,7 @@ from .intmat import (
     bareiss_det,
     congruent_form,
     int64_fits,
+    int_dtype,
     integer_kernel,
     mat_mul,
     mat_transpose,
@@ -326,7 +327,7 @@ def _s1_dtype(space: Space, A, B):
     partial sum of one, can overflow it; python ints otherwise."""
     m = space.dim + 2
     bound = m * m * max_abs(space.S1_int) * max_abs(A) * max_abs(B)
-    return np.int64 if int64_fits(bound) else object
+    return int_dtype(bound)
 
 
 def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
@@ -480,7 +481,7 @@ def transport_classes(space: Space, classes: ClassList, g: OrthElement,
         raise ValueError("transport requires an exact integral element")
     m = space.dim + 2
     ells = classes.ells
-    dt = np.int64 if int64_fits(m * max_abs(g.mat) * max_abs(ells)) else object
+    dt = int_dtype(m * max_abs(g.mat) * max_abs(ells))
     moved = g.mat.astype(dt) @ ells.astype(dt)
     # g is a bijection on classes, so none repeats
     H = np.concatenate([np.zeros((0, m, 2), dtype=np.int64),

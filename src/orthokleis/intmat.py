@@ -11,7 +11,9 @@ value is bounded in advance from the largest |entry| of the input (see
 `int64_fits`), and a batch that could overflow goes through the exact
 python path instead.  Nothing wraps silently.  `quad_rows`, an integer
 quadratic form on a stack of integer rows, follows the same rule with
-float64 as a cheaper first tier.
+float64 as a cheaper first tier.  `congruent_form` and the exact group
+arithmetic of `orthogroup` (products, inverses and the form relation of
+`OrthElement`) follow it too.
 """
 
 from __future__ import annotations
@@ -298,6 +300,13 @@ def int64_fits(bound: int) -> bool:
     return bound <= INT64_MAX
 
 
+def int_dtype(bound: int):
+    """The dtype of exact integer arithmetic whose every partial sum is at
+    most `bound` in absolute value: int64 when that fits, python ints
+    (dtype object) otherwise."""
+    return np.int64 if int64_fits(bound) else object
+
+
 def quad_rows(A, Y) -> np.ndarray:
     """A[y] = y^t A y for an integer form A (k x k) and each row y of the
     integer array Y, exactly.  Every partial sum is bounded in absolute
@@ -310,7 +319,7 @@ def quad_rows(A, Y) -> np.ndarray:
     if bound < FLOAT64_EXACT:
         Yf = Y.astype(float)
         return ((Yf @ A.astype(float)) * Yf).sum(axis=1).astype(np.int64)
-    dt = np.int64 if int64_fits(bound) else object
+    dt = int_dtype(bound)
     Yd = Y.astype(dt)
     return ((Yd @ A.astype(dt)) * Yd).sum(axis=1)
 
@@ -322,7 +331,7 @@ def congruent_form(S, U) -> np.ndarray:
     S, U = np.asarray(S, dtype=object), np.asarray(U, dtype=object)
     m = S.shape[0]
     bound = m * m * max_abs(S) * max_abs(U) ** 2
-    dt = np.int64 if int64_fits(bound) else object
+    dt = int_dtype(bound)
     U = U.astype(dt)
     return U.T @ S.astype(dt) @ U
 

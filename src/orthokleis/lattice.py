@@ -35,7 +35,7 @@ from .intmat import (
     column_hnf,
     congruent_form,
     fraction_inverse,
-    int64_fits,
+    int_dtype,
     max_abs,
     minors_gcd,
     quad_rows,
@@ -318,7 +318,7 @@ def _isotropic_last(S: np.ndarray, tails: np.ndarray, lo, hi, cap: int,
     m = S.shape[0]
     big = max(max_abs(S), 1) * max(max_abs(tails), 1)
     # bounds b^2, a c, b^2 - a c, (isqrt + 1)^2 and every partial sum
-    dt = np.int64 if int64_fits(4 * m * m * big * big) else object
+    dt = int_dtype(4 * m * m * big * big)
     Sd, Y = S.astype(dt), tails.astype(dt)
     a = Sd[0, 0]
     b = Y @ Sd[0, 1:]

@@ -16,13 +16,13 @@ S0[(i,0,...,0,i)] = -2 at the base point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
 from .errors import DomainExit, IsotropicReflectionVector, NonIntegralEmbed
-from .intmat import fraction_inverse, mat_mul, mat_transpose
+from .intmat import congruent_form, fraction_inverse, int_dtype, max_abs
 from .lattice import BorderedForms, GramLattice, bordered_forms
 
 GROUP_TOL = 1e-9
@@ -48,10 +48,17 @@ class Space:
         self.S1 = self.forms.S1_np().astype(float)
         self.S0_int = [list(r) for r in self.forms.S0]
         self.S1_int = [list(r) for r in self.forms.S1]
-        self.S0_inv = fraction_inverse(self.S0_int)
-        self.S1_inv = fraction_inverse(self.S1_int)
-        self.S0_inv_np = np.array([[float(x) for x in row] for row in self.S0_inv])
-        self.S1_inv_np = np.array([[float(x) for x in row] for row in self.S1_inv])
+        S0_inv = fraction_inverse(self.S0_int)
+        S1_inv = fraction_inverse(self.S1_int)
+        self.S0_inv_np = np.array([[float(x) for x in row] for row in S0_inv])
+        self.S1_inv_np = np.array([[float(x) for x in row] for row in S1_inv])
+        # S1^{-1} = S1_inv_scaled / S1_inv_den with an integer numerator:
+        # the denominator is 1 for E8, 2 for D4 and 3 for A2
+        self.S1_inv_den = lcm(*(x.denominator for row in S1_inv for x in row))
+        self.S1_inv_scaled = np.array(
+            [[x.numerator * (self.S1_inv_den // x.denominator) for x in row]
+             for row in S1_inv], dtype=object)
+        self.S1_exact = np.array(self.S1_int, dtype=object)
         self.dim = L.n + 2
 
     def q0(self, y):
@@ -118,14 +125,18 @@ class TubePoint:
 class OrthElement:
     """A matrix of the big orthogonal group, optionally exact-integral.
 
-    Exact elements carry python-int entries (numpy object array) so words
-    in them multiply without rounding; float elements are checked against
-    the defining relation at tolerance.
+    Exact elements store python-int entries (numpy object array), so words
+    of any size are held without rounding.  Their arithmetic runs on int64
+    when a headroom bound shows that no partial sum can overflow it, and on
+    python ints otherwise.  Float elements are checked against the defining
+    relation at tolerance.
     """
 
     def __init__(self, space: Space, mat, exact: bool = False, check: bool = True):
         self.space = space
-        if exact:
+        if exact and isinstance(mat, np.ndarray) and mat.dtype.kind in "iu":
+            self.mat = mat.astype(object)  # python ints, whatever the width
+        elif exact:
             self.mat = np.array([[int(x) for x in row] for row in mat], dtype=object)
         else:
             self.mat = np.asarray(mat, dtype=float)
@@ -138,9 +149,8 @@ class OrthElement:
         if self.mat.shape != (m, m):
             raise ValueError(f"expected {m}x{m} matrix")
         if self.exact:
-            g = [[int(x) for x in row] for row in self.mat]
-            gt_s1_g = mat_mul(mat_mul(mat_transpose(g), self.space.S1_int), g)
-            if gt_s1_g != self.space.S1_int:
+            S1 = self.space.S1_exact
+            if not np.array_equal(congruent_form(S1, self.mat), S1):
                 raise ValueError("exact element does not preserve the bordered form")
         else:
             g = self.mat
@@ -159,9 +169,10 @@ class OrthElement:
             raise ValueError("elements live over different lattices")
         exact = self.exact and other.exact
         if exact:
-            prod = mat_mul([[int(x) for x in r] for r in self.mat],
-                           [[int(x) for x in r] for r in other.mat])
-            return OrthElement(self.space, prod, exact=True, check=False)
+            A, B = self.mat, other.mat
+            dt = int_dtype(A.shape[0] * max_abs(A) * max_abs(B))
+            return OrthElement(self.space, A.astype(dt) @ B.astype(dt),
+                               exact=True, check=False)
         return OrthElement(self.space, self.asfloat() @ other.asfloat(),
                            exact=False, check=False)
 
@@ -229,21 +240,26 @@ def act(g: OrthElement, Z: TubePoint) -> TubePoint:
 
 
 def inverse_closed_form(g: OrthElement) -> OrthElement:
-    """g^{-1} = S1^{-1} g^t S1, exact for exact elements."""
+    """g^{-1} = S1^{-1} g^t S1, exact for exact elements.
+
+    The exact route forms (d S1^{-1}) g^t S1 with the integer matrix
+    d S1^{-1} and divides it exactly by d; every partial sum is bounded
+    by m^2 max|d S1^{-1}| max|g| max|S1|."""
     space = g.space
     if g.exact:
-        gt = mat_transpose([[int(x) for x in row] for row in g.mat])
-        prod = mat_mul(mat_mul(space.S1_inv, gt), space.S1_int)
-        out = []
-        for row in prod:
-            out_row = []
-            for x in row:
-                f = Fraction(x)
-                if f.denominator != 1:
-                    raise NonIntegralEmbed(f"inverse entry {f} is not integral")
-                out_row.append(f.numerator)
-            out.append(out_row)
-        return OrthElement(space, out, exact=True, check=False)
+        N, S1, d = space.S1_inv_scaled, space.S1_exact, space.S1_inv_den
+        m = g.mat.shape[0]
+        dt = int_dtype(m * m * max_abs(N) * max_abs(g.mat) * max_abs(S1))
+        prod = N.astype(dt) @ g.mat.T.astype(dt) @ S1.astype(dt)
+        if d != 1:
+            bad = np.flatnonzero(prod % d)
+            if bad.size:
+                x = int(prod.flat[bad[0]])
+                c = gcd(x, d)
+                raise NonIntegralEmbed(
+                    f"inverse entry {x // c}/{d // c} is not integral")
+            prod = prod // d
+        return OrthElement(space, prod, exact=True, check=False)
     inv = space.S1_inv_np @ g.asfloat().T @ space.S1
     return OrthElement(space, inv, exact=False, check=False)
 
@@ -339,7 +355,8 @@ def levi(space: Space, A, exact: bool | None = None) -> OrthElement:
     arr = np.asarray(A)
     if exact is None:
         exact = arr.dtype.kind in "iu" or (
-            arr.dtype == object and all(isinstance(x, int) for x in arr.ravel()))
+            arr.dtype == object
+            and all(isinstance(x, (int, np.integer)) for x in arr.ravel()))
     big = np.zeros((m + 2, m + 2), dtype=object if exact else float)
     big[0, 0] = 1
     big[-1, -1] = 1

@@ -1,9 +1,14 @@
 """Tests for the bordered orthogonal group and its tube-domain action."""
 
+from fractions import Fraction
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from orthokleis.errors import DomainExit, IsotropicReflectionVector
+from orthokleis import orthogroup
+from orthokleis.errors import DomainExit, IsotropicReflectionVector, NonIntegralEmbed
+from orthokleis.intmat import fraction_inverse, mat_mul, mat_transpose
 from orthokleis.lattice import load_gram
 from orthokleis.orthogroup import (
     OrthElement,
@@ -313,3 +318,141 @@ def test_automorphy_nonvanishing_guard(sp_a1):
     assert abs(automorphy(g, Zb)) == pytest.approx(1.0)
     W = act(g, Zb)
     assert W.tau == pytest.approx(1j)
+
+
+# ------------------------------------------- exact arithmetic vs. reference
+#
+# The list and Fraction arithmetic the group layer used before its exact
+# routes moved to int64 under a headroom bound, kept verbatim as the oracle.
+
+@lru_cache(maxsize=None)
+def _s1_inv_fractions(space):
+    return fraction_inverse(space.S1_int)
+
+
+def reference_matmul(g, h):
+    return mat_mul([[int(x) for x in r] for r in g.mat],
+                   [[int(x) for x in r] for r in h.mat])
+
+
+def reference_inverse(g):
+    space = g.space
+    gt = mat_transpose([[int(x) for x in row] for row in g.mat])
+    prod = mat_mul(mat_mul(_s1_inv_fractions(space), gt), space.S1_int)
+    out = []
+    for row in prod:
+        out_row = []
+        for x in row:
+            f = Fraction(x)
+            if f.denominator != 1:
+                raise NonIntegralEmbed(f"inverse entry {f} is not integral")
+            out_row.append(f.numerator)
+        out.append(out_row)
+    return out
+
+
+def reference_check(space, mat):
+    g = [[int(x) for x in row] for row in mat]
+    gt_s1_g = mat_mul(mat_mul(mat_transpose(g), space.S1_int), g)
+    return gt_s1_g == space.S1_int
+
+
+def _exact_json(rows):
+    return {"exact": True, "mat": rows}
+
+
+def _accepts(space, mat):
+    try:
+        OrthElement(space, mat, exact=True)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["A2", "D4", "E8"])
+def test_exact_arithmetic_matches_reference(name):
+    space = space_for(load_gram(name))
+    for seed in range(100):
+        g = random_word(space, np.random.default_rng(seed), length=3)
+        # the same draws one letter at a time, multiplied by the reference
+        rng = np.random.default_rng(seed)
+        ref = identity_element(space)
+        for _ in range(3):
+            letter = random_word(space, rng, length=1)
+            ref = OrthElement(space, reference_matmul(ref, letter), exact=True,
+                              check=False)
+        assert g.to_json() == ref.to_json()
+        h = random_word(space, rng, length=3)
+        assert (g @ h).to_json() == _exact_json(reference_matmul(g, h))
+        assert inverse_closed_form(g).to_json() == _exact_json(reference_inverse(g))
+
+
+def test_relation_check_matches_reference(sp_a2, sp_e8):
+    rng = np.random.default_rng(26)
+    for space in (sp_a2, sp_e8):
+        m = space.dim + 2
+        swap = np.eye(m, dtype=int)
+        swap[0, 0] = swap[-1, -1] = -1
+        mats = [swap, 2 * np.eye(m, dtype=int)]
+        for _ in range(3):
+            g = random_word(space, rng, length=4)
+            mats.append(g.mat)
+            for i, j in rng.integers(0, m, size=(6, 2)):
+                for delta in (1, -1):
+                    bad = g.mat.copy()
+                    bad[i, j] += delta
+                    mats.append(bad)
+        verdicts = [_accepts(space, M) for M in mats]
+        assert verdicts == [reference_check(space, M) for M in mats]
+        assert verdicts[0] and not verdicts[1] and verdicts[2]
+
+
+def test_large_entries_take_the_python_int_route(sp_a2, monkeypatch):
+    # entries near 2^40: every product and inverse bound passes 2^63
+    big = 2 ** 20 + 7
+    g = translation(sp_a2, [big, -big, 3, big]) @ rotation(sp_a2, ((0, -1), (1, 0)))
+    g = g @ translation(sp_a2, [-big, 1, big, big])
+    assert max(abs(int(x)) for x in g.mat.ravel()) > 2 ** 31
+    chosen = []
+    real = orthogroup.int_dtype
+
+    def spy(bound):
+        chosen.append(real(bound))
+        return chosen[-1]
+
+    monkeypatch.setattr(orthogroup, "int_dtype", spy)
+    gg = g @ g
+    ginv = inverse_closed_form(g)
+    assert chosen == [object, object]
+    assert gg.to_json() == _exact_json(reference_matmul(g, g))
+    assert ginv.to_json() == _exact_json(reference_inverse(g))
+    one = (g @ ginv).mat
+    assert all(type(x) is int for x in one.ravel())
+    assert np.array_equal(one, np.eye(sp_a2.dim + 2, dtype=int))
+
+
+def test_non_integral_inverse_refused_as_before():
+    for name, integral in (("A2", False), ("D4", True), ("E8", True)):
+        space = space_for(load_gram(name))
+        m = space.dim + 2
+        M = np.eye(m, dtype=int)
+        M[2, 3] += 1
+        g = OrthElement(space, M, exact=True, check=False)
+        if integral:
+            assert inverse_closed_form(g).to_json() == _exact_json(reference_inverse(g))
+            continue
+        with pytest.raises(NonIntegralEmbed) as new:
+            inverse_closed_form(g)
+        with pytest.raises(NonIntegralEmbed) as old:
+            reference_inverse(g)
+        assert str(new.value) == str(old.value) == "inverse entry 5/3 is not integral"
+
+
+def test_levi_accepts_numpy_integer_entries(sp_a2):
+    A = -np.eye(sp_a2.dim, dtype=np.int64)
+    boxed = np.array([[np.int64(x) for x in row] for row in A], dtype=object)
+    assert all(type(x) is np.int64 for x in boxed.ravel())
+    g = levi(sp_a2, boxed)
+    assert g.exact
+    assert all(type(x) is int for x in g.mat.ravel())
+    assert g.to_json() == levi(sp_a2, A).to_json()
