@@ -10,19 +10,25 @@ column lattice P has det(R[ell]) = [Z^2 : psi(P)]^2 for any basis ell.
 Base-point enumeration therefore walks image sublattices of Z^2 by index
 D <= sqrt(B) and lifts a Lagrange-reduced basis through the psi fibers.
 
-For a general majorant the enumeration is Fincke-Pohst: every admissible
-class has a reduced basis (l, m) with R[l] <= sqrt(4B/3) and
-R[m] <= (4/3) B / R[l] (the completeness-critical constants: reduced
-bases satisfy R[l] R[m] <= (4/3) det(R[ell])), so short isotropic vectors
-are listed first and partners are enumerated inside the S1-orthogonal
-sublattice of each.  Both searches ask `ellipsoid_points` for isotropic
-points only: the short l with S1[l] = 0 in the R-ball, and for each l the
-y with (W^t S1 W)[y] = 0 in the ball of W^t R W, W a basis of the kernel
-of l^t S1.  The enumerator solves the last coordinate of that integer
-quadratic exactly instead of listing it, so no anisotropic point is held;
-the cap counts every enumeration layer and every point kept, the short
-vectors included.  All final acceptance tests are exact or carry a 1e-9
-relative boundary guard.
+For a general majorant the enumeration is Fincke-Pohst over reduced
+bases.  Every admissible class has a Lagrange-Gauss reduced basis (l, m),
+R[l] <= R[m] and |R(l, m)| <= R[l] / 2, so R[l] <= sqrt(4B/3) (the
+completeness-critical constant: reduced bases satisfy
+(3/4) R[l]^2 <= det(R[ell])).  The short isotropic l are listed first.
+The partners of each are searched in the quotient K / <l'> of its
+S1-orthogonal kernel K by l' = l / gcd(l), of rank m - 2: S1 is constant
+on the cosets m + Z l', and det(R[(l, m)]) = R[l] R_perp[m] with
+R_perp = R - (R l)(R l)^t / R[l], so the quotient ball is
+R_perp <= B / R[l].  Half of it is listed, m and -m giving one class, and
+each coset is lifted to the m with |R(l, m)| <= R[l] / 2; the pairs with
+R[m] >= R[l] are kept, which are the reduced ones.  A primitive plane's
+reduced l is primitive, so only primitive l are searched when only
+primitive classes are asked for.  Both searches ask `ellipsoid_points`
+for isotropic points only, and the enumerator solves the last coordinate
+of that integer quadratic exactly instead of listing it, so no
+anisotropic point is held; the cap counts every enumeration layer and
+every point kept, the short vectors included.  All final acceptance tests
+are exact or carry a 1e-9 relative boundary guard.
 
 Class lists are columnar.  Both enumerators and `transport_classes`
 give the canonical representatives rank2_column_hnf returns as one
@@ -57,10 +63,12 @@ from .intmat import (
     mat_transpose,
     max_abs,
     rank2_column_hnf,
+    row_hnf_transform,
 )
 from .lattice import (
     DEFAULT_CAP,
     GramLattice,
+    _lll_gram,
     ellipsoid_points,
     half_ball,
     shell,
@@ -214,37 +222,6 @@ def _class_list(H: np.ndarray, R: np.ndarray) -> ClassList:
     return ClassList(H[keep[order]], det[order])
 
 
-class _ClassStack:
-    """Canonical representatives as they arrive, in blocks, for an
-    enumeration that reaches a class from many candidates.  Held rows are
-    deduplicated whenever they reach twice the count the previous
-    deduplication left (PAIR_SLICE at least), so what is held stays within
-    a constant factor of the class list."""
-
-    def __init__(self, m: int):
-        self.blocks = [np.zeros((0, m, 2), dtype=np.int64)]
-        self.held = self.unique = 0
-
-    def add(self, H: np.ndarray) -> None:
-        """Hold the (k, m, 2) canonical representatives H."""
-        self.blocks.append(H)
-        self.held += H.shape[0]
-        if self.held >= 2 * max(self.unique, PAIR_SLICE):
-            H = self.rows()
-            self.blocks = [H[_distinct(H)]]
-            self.held = self.unique = self.blocks[0].shape[0]
-
-    def add_pairs(self, V, W, primitive_only: bool) -> None:
-        """Canonicalise the candidate pairs (V[i], W[i]) and hold them."""
-        for H in _canonical(V, W, primitive_only):
-            self.add(H)
-
-    def rows(self) -> np.ndarray:
-        """The held rows as one (k, m, 2) stack."""
-        self.blocks = [np.concatenate(self.blocks)]
-        return self.blocks[0]
-
-
 def _divisors(m: int):
     return [d for d in range(1, m + 1) if m % d == 0]
 
@@ -384,54 +361,114 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
 
 # ---------------------------------------------------- general majorants
 
+def _quotient_basis(space: Space, R: np.ndarray, lp):
+    """C, the m x (m - 2) integer columns of a basis (l', C) of the
+    S1-orthogonal kernel K = {x : S1(l', x) = 0} of a primitive isotropic
+    integer vector l' (an object array of python ints).
+
+    W, the integer kernel of the one row S1 l', is first LLL-reduced in R,
+    so that C is made of short vectors and the quotient form built from it
+    in floats is accurate.  Its columns extend to a unimodular matrix, so
+    its row Hermite form is [I; 0] and the transform V gives l' = W z with
+    z = (V l')[:-1]; the last entry of V l' is 0 exactly when l' lies in
+    K.  z is primitive, so the transform T of its column has T z = e_1,
+    T^-1 has first column z, and W T^-1 is a basis of K that starts with
+    l'.  Only the LLL step reads floats; the basis is exact either way."""
+    W = np.array(integer_kernel([(space.S1_exact @ lp).tolist()]),
+                 dtype=object).T
+    Wf = W.astype(float)
+    W = W @ _lll_gram(Wf.T @ R @ Wf).astype(object)
+    _, V = row_hnf_transform(W.tolist())
+    z = (np.array(V, dtype=object) @ lp).tolist()
+    if z.pop() != 0:
+        raise ValueError("l' does not lie in its S1-orthogonal kernel")
+    _, T = row_hnf_transform([[x] for x in z])
+    _, Tinv = row_hnf_transform(T)
+    return W @ np.array(Tinv, dtype=object)[:, 1:]
+
+
 def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
                      primitive_only: bool):
     """The canonical representatives of the classes at a general
-    majorant R, as one (k, m, 2) stack; a class may appear more than
-    once."""
+    majorant R, as one (k, m, 2) stack, each class reached through its
+    reduced bases (l, m): a class appears more than once only at ties
+    between those, and _class_list keeps one row per class.
+
+    For each short isotropic l (one of each pair +-l, and only primitive
+    ones with primitive_only) the cosets m_bar + Z l' of the quotient
+    K / <l'>, l' = l / gcd(l), are listed with R_perp[m_bar] <= B / R[l],
+    one of each pair +-m_bar, in the basis C of _quotient_basis.  Each
+    coset is lifted to m = m_bar + j l', where R(l, m) = R(l, m_bar)
+    + j R[l] / gcd(l): for a primitive l the one j with
+    |R(l, m)| <= R[l] / 2; otherwise the gcd(l) + 1 consecutive j from the
+    low end of that window of length gcd(l), which covers every residue
+    mod gcd(l), that is every plane <l, m> over the coset.  The pairs with
+    R[m] >= R[l] (1 - 1e-9), the reduced ones, and det(R[(l, m)]) within
+    the bound are canonicalised."""
     m = space.dim + 2
     limit = B * (1.0 + REL_EPS) + REL_EPS
     B1 = math.sqrt(4.0 * B / 3.0) * (1.0 + REL_EPS)
-    S1_rows = space.S1_int
-    iso = ellipsoid_points(R, B1, cap, iso=S1_rows)
+    iso = ellipsoid_points(R, B1, cap, iso=space.S1_int)
     # what is held counts against the cap: the short isotropic vectors,
     # then every partner list
     spent = iso.shape[0]
-    stack = _ClassStack(m)
+    blocks = [np.zeros((0, m, 2), dtype=np.int64)]
     if spent == 0:
-        return stack.rows()
+        return blocks[0]
     # one sign per line: first nonzero coordinate positive
     lead = iso[np.arange(iso.shape[0]), (iso != 0).argmax(axis=1)]
     reps = sorted(map(tuple, iso[lead > 0].tolist()))
     # (l, partner) rows waiting for the canonicaliser
     pending, waiting = [], 0
     for l in reps:
+        g = math.gcd(*l)
+        if primitive_only and g > 1:
+            continue
+        lp = np.array([x // g for x in l], dtype=object)
         lv = np.array(l, dtype=np.int64)
+        Rlv = R @ lv
         Rl = float(lv @ R @ lv)
-        B2 = (4.0 / 3.0) * B / max(Rl, 1e-300) * (1.0 + REL_EPS)
-        row = [[sum(S1_rows[i][j] * l[i] for i in range(m)) for j in range(m)]]
-        kern = integer_kernel(row)
-        W = np.array(kern, dtype=np.int64).T  # columns span the kernel
-        # partners: S1-isotropic vectors of the kernel, S1[W y] = 0
-        ys = ellipsoid_points(W.T @ R @ W, B2, cap, spent,
-                              iso=congruent_form(S1_rows, W))
+        C = _quotient_basis(space, R, lp)
+        # size-reduced against l', exactly: then |R(l, c)| <= R[l] / (2 g)
+        # and the projection takes little off each column's R[c]
+        k = np.rint(g * (C.astype(float).T @ Rlv) / Rl).astype(np.int64)
+        C = C - np.outer(lp, k.astype(object))
+        Cf = C.astype(float)
+        w = Cf.T @ Rlv  # R(l, C y) = w . y
+        Q = Cf.T @ R @ Cf - np.outer(w, w) / Rl
+        ys = ellipsoid_points(Q, limit / Rl * (1.0 + REL_EPS), cap, spent,
+                              iso=congruent_form(space.S1_int, C), half=True)
         spent += ys.shape[0]
         if ys.shape[0] == 0:
             continue
-        cands = ys @ W.T
-        Cf = cands.astype(float)
-        Rlm = Cf @ (R @ lv)
-        det2 = Rl * ((Cf @ R) * Cf).sum(axis=1) - Rlm * Rlm
-        partners = cands[det2 <= limit]
-        pending.append((np.broadcast_to(lv, partners.shape), partners))
+        # R(l, m_bar + j l') = R(l, m_bar) + j R[l] / g
+        t = (ys @ w) / Rl
+        if g == 1:
+            j = np.rint(-t)[:, None]
+        else:
+            j = np.rint(-g * (t + 0.5))[:, None] + np.arange(g + 1)
+        j = j.astype(np.int64)
+        dt = int_dtype((m - 2) * max_abs(ys) * max_abs(C)
+                       + max_abs(j) * max_abs(lp))
+        mbar = ys.astype(dt) @ C.T.astype(dt)
+        cands = (mbar[:, None, :]
+                 + j.astype(dt)[:, :, None] * lp.astype(dt)).reshape(-1, m)
+        Mf = cands.astype(float)
+        Rmm = ((Mf @ R) * Mf).sum(axis=1)
+        Rlm = Mf @ Rlv
+        det2 = Rl * Rmm - Rlm * Rlm
+        partners = cands[(Rmm >= Rl * (1.0 - REL_EPS)) & (det2 <= limit)]
+        pending.append((np.broadcast_to(lv.astype(dt), partners.shape),
+                        partners))
         waiting += partners.shape[0]
         if waiting >= PAIR_SLICE:
-            stack.add_pairs(*map(np.concatenate, zip(*pending)),
-                            primitive_only)
+            blocks.extend(_canonical(*map(np.concatenate, zip(*pending)),
+                                     primitive_only))
             pending, waiting = [], 0
     if pending:
-        stack.add_pairs(*map(np.concatenate, zip(*pending)), primitive_only)
-    return stack.rows()
+        blocks.extend(_canonical(*map(np.concatenate, zip(*pending)),
+                                 primitive_only))
+    return np.concatenate(blocks)
 
 
 # ------------------------------------------------------------ public API

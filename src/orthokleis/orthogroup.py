@@ -58,6 +58,7 @@ class Space:
         self.S1_inv_scaled = np.array(
             [[x.numerator * (self.S1_inv_den // x.denominator) for x in row]
              for row in S1_inv], dtype=object)
+        self.S0_exact = np.array(self.S0_int, dtype=object)
         self.S1_exact = np.array(self.S1_int, dtype=object)
         self.dim = L.n + 2
 
@@ -286,15 +287,19 @@ def translation(space: Space, lam) -> OrthElement:
     m = space.dim
     exact = all(isinstance(x, (int, np.integer)) for x in lam)
     if exact:
-        S0 = space.S0_int
-        lamS0 = [sum(lam[i] * S0[i][j] for i in range(m)) for j in range(m)]
-        smid = space.L.quad(lam[1:-1])
-        q0lam = lam[0] * lam[-1] - smid // 2
-        assert smid % 2 == 0
-        top = [[1] + [-x for x in lamS0] + [-q0lam]]
-        mid = [[0] + [int(i == j) for j in range(m)] + [lam[i]] for i in range(m)]
-        bot = [[0] * (m + 1) + [1]]
-        return OrthElement(space, top + mid + bot, exact=True)
+        lam = np.array([int(x) for x in lam], dtype=object)
+        S0 = space.S0_exact
+        dt = int_dtype(m * m * max_abs(S0) * max_abs(lam) ** 2)
+        lam = lam.astype(dt)
+        lamS0 = lam @ S0.astype(dt)
+        # S0[lam] = 2 lam_first lam_last - S[lam_mid], even as S is
+        s0 = lamS0 @ lam
+        assert s0 % 2 == 0
+        g = np.eye(m + 2, dtype=dt)
+        g[0, 1:-1] = -lamS0
+        g[0, -1] = -(s0 // 2)
+        g[1:-1, -1] = lam
+        return OrthElement(space, g, exact=True)
     lamf = np.asarray(lam, dtype=float)
     g = np.eye(m + 2)
     g[0, 1:-1] = -(space.S0 @ lamf)
@@ -310,24 +315,20 @@ def heisenberg(space: Space, x, y) -> OrthElement:
     y = [int(v) for v in y]
     if len(x) != n or len(y) != n:
         raise ValueError(f"expected length-{n} vectors")
-    Smat = space.L.gram()
-    xS = [sum(x[i] * Smat[i][j] for i in range(n)) for j in range(n)]
-    yS = [sum(y[i] * Smat[i][j] for i in range(n)) for j in range(n)]
-    sx = space.L.quad(x)
-    sy = space.L.quad(y)
-    xSy = sum(xS[j] * y[j] for j in range(n))
+    xy = np.array([x, y], dtype=object)
+    S = -space.S0_exact[1:-1, 1:-1]  # the lattice Gram
+    dt = int_dtype(n * n * max_abs(S) * max_abs(xy) ** 2)
+    xy = xy.astype(dt)
+    xyS = xy @ S.astype(dt)  # x^t S and y^t S
+    (sx, xSy), (_, sy) = xyS @ xy.T
     m = n + 4
-    g = [[0] * m for _ in range(m)]
-    for i in range(m):
-        g[i][i] = 1
-    g[0][2:2 + n] = yS
-    g[0][m - 1] = sy // 2
-    g[1][2:2 + n] = xS
-    g[1][m - 2] = sx // 2
-    g[1][m - 1] = xSy
-    for i in range(n):
-        g[2 + i][m - 2] = x[i]
-        g[2 + i][m - 1] = y[i]
+    g = np.eye(m, dtype=dt)
+    g[0, 2:2 + n] = xyS[1]
+    g[0, m - 1] = sy // 2
+    g[1, 2:2 + n] = xyS[0]
+    g[1, m - 2] = sx // 2
+    g[1, m - 1] = xSy
+    g[2:2 + n, m - 2:] = xy.T
     return OrthElement(space, g, exact=True)
 
 

@@ -37,27 +37,6 @@ def sp_e8():
     return space_for(load_gram("E8"))
 
 
-def _record_stacks(monkeypatch):
-    """Make every _ClassStack record the blocks it is given, in arrival
-    order; returns the list the stacks are appended to."""
-    stacks = []
-
-    class Recording(eis._ClassStack):
-        def __init__(self, m):
-            super().__init__(m)
-            self.stream = []
-            self.peak = 0  # the most rows held at once
-            stacks.append(self)
-
-        def add(self, H):
-            self.stream.append(H.copy())
-            self.peak = max(self.peak, self.held + H.shape[0])
-            super().add(H)
-
-    monkeypatch.setattr(eis, "_ClassStack", Recording)
-    return stacks
-
-
 def _record_candidates(monkeypatch):
     """Record every block of canonicalised candidate rows, on every path;
     returns the list the blocks are appended to."""
@@ -154,12 +133,13 @@ def test_order_matches_dict_oracle(case, sp_a2, sp_e8, monkeypatch):
         assert set(_dict_oracle(blocks).values()) == {1}
         assert _det_error(got, R) == 0
     if case in ("A2 B=100 general", "A2 B=100 moved"):
-        # many candidates per class, and hundreds of tied detR
+        # reduced pairs only: 48 classes are reached twice, at ties of
+        # their reduced bases, and hundreds of detR are tied
         assert len(got) == 2472
-        assert sum(H.shape[0] for H in blocks) > 10 * len(got)
+        assert sum(H.shape[0] for H in blocks) == 2520
 
 
-def test_object_stack_past_int64_headroom(monkeypatch):
+def test_object_stack_past_int64_headroom():
     # representatives scaled by 2^62 only fit python ints; duplicates,
     # tied detR, and one int64 block among the object ones all go
     # through the one dedup-and-order path
@@ -173,16 +153,11 @@ def test_object_stack_past_int64_headroom(monkeypatch):
     distinct *= 2**62
     A = rng.integers(-1, 2, size=(m, m))
     R = (A.T @ A + np.eye(m, dtype=np.int64)).astype(float)
-    stacks = _record_stacks(monkeypatch)
-    stack = eis._ClassStack(m)
-    for _ in range(40):
-        stack.add(distinct[rng.integers(0, distinct.shape[0], size=700)])
-    stack.add(rank2(rng.integers(-3, 4, size=(50, m, 2))))
-    stream = stacks[0].stream
-    got = eis._class_list(stack.rows(), R)
+    stream = [distinct[rng.integers(0, distinct.shape[0], size=700)]
+              for _ in range(40)]
+    stream.append(rank2(rng.integers(-3, 4, size=(50, m, 2))))
+    got = eis._class_list(np.concatenate(stream), R)
     assert got.ells.dtype == object
-    # the held rows were deduplicated along the way
-    assert stack.peak < sum(H.shape[0] for H in stream)
     _assert_matches_oracle(got, stream, R)
 
 
@@ -197,20 +172,23 @@ def test_reduction_leaves_int64_before_it_could_overflow():
 
 
 def test_held_rows_follow_classes_not_candidates(sp_a2, monkeypatch):
-    # the general path reaches each A2 B=100 class from 15 candidates on
-    # average; with a small slice the held rows stay near twice the class
-    # count and far below the candidate count
+    # the general path reaches each A2 B=100 class from about one reduced
+    # pair, so it holds the canonical rows as they come and leaves the
+    # deduplication to _class_list; a small slice changes neither the
+    # rows nor the list
     R = base_majorant(sp_a2)
     ref = enumerate_isotropic_classes(sp_a2, R, 100.0, _force_general=True)
-    stacks = _record_stacks(monkeypatch)
+    blocks = _record_candidates(monkeypatch)
     slice_rows = 256
     monkeypatch.setattr(eis, "PAIR_SLICE", slice_rows)
     got = enumerate_isotropic_classes(sp_a2, R, 100.0, _force_general=True)
     assert got == ref
-    candidates = sum(H.shape[0] for H in stacks[0].stream)
-    assert candidates == 38112
-    assert stacks[0].peak < 2 * len(got) + slice_rows
-    assert 4 * stacks[0].peak < candidates
+    assert np.array_equal(got.ells, ref.ells)
+    assert got.detR.tobytes() == ref.detR.tobytes()
+    candidates = sum(H.shape[0] for H in blocks)
+    assert candidates == 2520
+    assert candidates < 1.1 * len(got)
+    assert max(H.shape[0] for H in blocks) <= slice_rows
 
 
 def test_sequence_contract(sp_a2):
@@ -267,21 +245,19 @@ def test_iteration_matches_per_class_items(dtype, monkeypatch):
 
 
 def test_arrival_order_does_not_matter(sp_a2, monkeypatch):
-    # at this point 2175 of the 2472 classes are reached by candidates
-    # whose own determinants differ, so a value taken from whichever
-    # candidate came first would depend on the order
+    # at this point the candidate rows name every class, some twice; the
+    # list, its detR and its order are the same whichever order the rows
+    # come in, and however often each repeats
     R = _moved_majorant(sp_a2, 1)[1]
     blocks = _record_candidates(monkeypatch)
     ref = enumerate_isotropic_classes(sp_a2, R, 100.0)
     rows = np.concatenate(blocks)
-    assert len(ref) == 2472 and rows.shape[0] > 10 * len(ref)
+    assert len(ref) == 2472 and rows.shape[0] == 2520
+    rows = np.concatenate([rows, rows[::3]])
     rng = np.random.default_rng(5)
     for order in (np.arange(rows.shape[0]), np.arange(rows.shape[0])[::-1],
                   rng.permutation(rows.shape[0])):
-        stack = eis._ClassStack(6)
-        for lo in range(0, order.size, 1000):
-            stack.add(rows[order[lo:lo + 1000]])
-        got = eis._class_list(stack.rows(), R)
+        got = eis._class_list(rows[order], R)
         assert np.array_equal(got.ells, ref.ells)
         assert got.detR.tobytes() == ref.detR.tobytes()
 

@@ -5,6 +5,8 @@ Class counts were frozen from two independent enumeration algorithms
 Fincke-Pohst), which agree exactly on every case below.
 """
 
+import importlib.util
+import math
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -15,6 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orthokleis.eisenstein import (
+    PAIR_SLICE,
+    REL_EPS,
+    _canonical,
+    _class_list,
+    _general_classes,
+    _quotient_basis,
     class_value,
     canonical_class,
     eisenstein_report,
@@ -32,6 +40,12 @@ from orthokleis.errors import (
     ConvergenceGuard,
     NotPositiveDefinite,
     RankDeficient,
+)
+from orthokleis.intmat import (
+    congruent_form,
+    integer_kernel,
+    minors_gcd,
+    rank2_column_hnf,
 )
 from orthokleis.lattice import is_primitive, load_gram, short_vectors
 from orthokleis.majorant import base_majorant, majorant_at
@@ -462,15 +476,16 @@ def test_general_path_matches_base_path_off_catalog(text, B):
 
 
 def test_general_path_enumerates_only_isotropic_points(sp_a2, monkeypatch):
-    # at A2 B=100 the 237 whole R-balls hold 3828234 points, of which
-    # 69440 are isotropic; only those come back
+    # at A2 B=100 the 221 calls (the short vectors, then the quotient
+    # partners of each primitive l) have whole balls of 167334 points, of
+    # which 6232 are isotropic; only those come back
     import orthokleis.eisenstein as eis
 
     calls = []
 
-    def counted(Q, T, cap, spent=0, iso=None):
+    def counted(Q, T, cap, spent=0, iso=None, half=False):
         assert iso is not None
-        pts = ellipsoid_points(Q, T, cap, spent, iso=iso)
+        pts = ellipsoid_points(Q, T, cap, spent, iso=iso, half=half)
         S = np.array(iso, dtype=object)
         Y = pts.astype(object)
         isotropic = bool((((Y @ S) * Y).sum(axis=1) == 0).all())
@@ -482,6 +497,184 @@ def test_general_path_enumerates_only_isotropic_points(sp_a2, monkeypatch):
         ("heisenberg", {"x": [1, 1], "y": [1, 0]})])
     monkeypatch.setattr(eis, "ellipsoid_points", counted)
     assert len(enumerate_isotropic_classes(sp_a2, R_W, 100.0)) == 2472
-    assert len(calls) == 237
-    assert sum(n for n, _ in calls) == 69440
+    assert len(calls) == 221
+    assert sum(n for n, _ in calls) == 6232
     assert all(ok for _, ok in calls)
+
+
+# ------------------------------------- the quotient search against its oracle
+
+def reference_general_classes(space, R, B, cap, primitive_only):
+    """The general path as it was before the quotient search: the partners
+    of each short isotropic l are searched in the whole kernel of l^t S1,
+    of rank m - 1.  Verbatim, but for the class stack that deduplicated
+    along the way: the blocks are concatenated, and _class_list keeps one
+    row per class either way."""
+    m = space.dim + 2
+    limit = B * (1.0 + REL_EPS) + REL_EPS
+    B1 = math.sqrt(4.0 * B / 3.0) * (1.0 + REL_EPS)
+    S1_rows = space.S1_int
+    iso = ellipsoid_points(R, B1, cap, iso=S1_rows)
+    # what is held counts against the cap: the short isotropic vectors,
+    # then every partner list
+    spent = iso.shape[0]
+    blocks = [np.zeros((0, m, 2), dtype=np.int64)]
+    if spent == 0:
+        return np.concatenate(blocks)
+    # one sign per line: first nonzero coordinate positive
+    lead = iso[np.arange(iso.shape[0]), (iso != 0).argmax(axis=1)]
+    reps = sorted(map(tuple, iso[lead > 0].tolist()))
+    # (l, partner) rows waiting for the canonicaliser
+    pending, waiting = [], 0
+    for l in reps:
+        lv = np.array(l, dtype=np.int64)
+        Rl = float(lv @ R @ lv)
+        B2 = (4.0 / 3.0) * B / max(Rl, 1e-300) * (1.0 + REL_EPS)
+        row = [[sum(S1_rows[i][j] * l[i] for i in range(m)) for j in range(m)]]
+        kern = integer_kernel(row)
+        W = np.array(kern, dtype=np.int64).T  # columns span the kernel
+        # partners: S1-isotropic vectors of the kernel, S1[W y] = 0
+        ys = ellipsoid_points(W.T @ R @ W, B2, cap, spent,
+                              iso=congruent_form(S1_rows, W))
+        spent += ys.shape[0]
+        if ys.shape[0] == 0:
+            continue
+        cands = ys @ W.T
+        Cf = cands.astype(float)
+        Rlm = Cf @ (R @ lv)
+        det2 = Rl * ((Cf @ R) * Cf).sum(axis=1) - Rlm * Rlm
+        partners = cands[det2 <= limit]
+        pending.append((np.broadcast_to(lv, partners.shape), partners))
+        waiting += partners.shape[0]
+        if waiting >= PAIR_SLICE:
+            blocks.extend(_canonical(*map(np.concatenate, zip(*pending)),
+                                     primitive_only))
+            pending, waiting = [], 0
+    if pending:
+        blocks.extend(_canonical(*map(np.concatenate, zip(*pending)),
+                                 primitive_only))
+    return np.concatenate(blocks)
+
+
+def _assert_same_as_reference(space, R, B, primitive_only=True):
+    """The quotient search and the oracle give the same classes, in the
+    same order, with the same detR bit for bit."""
+    cap = 10 ** 7
+    got = _class_list(_general_classes(space, R, B, cap, primitive_only), R)
+    ref = _class_list(reference_general_classes(space, R, B, cap,
+                                                primitive_only), R)
+    assert np.array_equal(got.ells, ref.ells)
+    assert got.detR.tobytes() == ref.detR.tobytes()
+    return got
+
+
+def _workload_words(seed):
+    """The words of the benchmark's eisenstein workload for one seed, from
+    perfbench/inputs.py (standard library only)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.eisenstein_inputs(seed)
+
+
+def test_quotient_search_matches_reference_at_workload_points(sp_a2, sp_e8):
+    # the eight moved points of the benchmark's seed 1: six E8 at B=5 and
+    # two A2 at B=100
+    words = _workload_words(1)
+    for space, key, B, count in ((sp_e8, "e8_words", 5.0, 968),
+                                 (sp_a2, "a2_words", 100.0, 2472)):
+        for word in words[key]:
+            R, _ = _moved_point(space, word)
+            assert len(_assert_same_as_reference(space, R, B)) == count
+
+
+@st.composite
+def moved_word(draw, n):
+    """A translation and a Heisenberg unipotent, entries in [-1, 1], with
+    x nonzero so that g<base> is not the base point."""
+    small = st.integers(-1, 1)
+    x = draw(st.lists(small, min_size=n, max_size=n).filter(any))
+    return [("translation", {"lam": draw(st.lists(small, min_size=n + 2,
+                                                  max_size=n + 2))}),
+            ("heisenberg", {"x": x, "y": draw(st.lists(small, min_size=n,
+                                                       max_size=n))})]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), even_gram_text(), st.sampled_from([1.0, 2.0, 4.0, 9.0, 12.0]))
+def test_quotient_search_matches_reference_off_catalog(data, text, B):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "lattice.gram"
+        path.write_text(text)
+        sp = space_for(load_gram(str(path)))
+    R, _ = _moved_point(sp, data.draw(moved_word(sp.n)))
+    for primitive_only in (True, False):
+        _assert_same_as_reference(sp, R, B, primitive_only)
+
+
+def test_quotient_search_matches_reference_imprimitive_a2(sp_a2):
+    R, _ = _moved_point(sp_a2, _workload_words(1)["a2_words"][0])
+    got = _assert_same_as_reference(sp_a2, R, 20.0, primitive_only=False)
+    assert len(got) == 340
+
+
+def test_quotient_basis_is_exact_and_well_conditioned(sp_e8):
+    # at this point the one-row kernel of S1 l is skewed in R: a quotient
+    # form built from it has condition 7e9, and at B=16 the search then
+    # misses the 911 classes of det(R[ell]) = 16 by 5.5e-8 relative.  The
+    # kernel is LLL-reduced in R first; (l, C) stays an exact basis of K
+    R, _ = _moved_point(sp_e8, _workload_words(1)["e8_words"][5])
+    l = np.array([16, -7, -1, -1, 0, -1, -4, 1, 1, -1, 0, 1], dtype=object)
+    C = _quotient_basis(sp_e8, R, l)
+    M = np.column_stack([l, C])
+    assert not (l @ sp_e8.S1_exact @ M).any()
+    # a primitive system of rank m - 1 in the saturated K is a basis of K
+    assert minors_gcd(M.tolist(), M.shape[1]) == 1
+    Cf = C.astype(float)
+    assert np.linalg.cond(Cf.T @ R @ Cf) < 1e4
+
+
+def test_imprimitive_l_skipped_or_lifted_over_its_residues(sp_a2,
+                                                           monkeypatch):
+    # at the A2 base point 2 e is a short isotropic vector for each of the
+    # unit corner vectors e; it opens no partner search when only
+    # primitive classes are asked for.  Otherwise each partner coset
+    # m_bar + Z e is lifted to both residues j mod 2, since <2e, m_bar>
+    # and <2e, m_bar + e> are different planes
+    import orthokleis.eisenstein as eis
+
+    R = base_majorant(sp_a2)
+    seen = []
+    canonical = eis._canonical
+
+    def recording(V, W, primitive_only):
+        seen.append((V.copy(), W.copy()))
+        return canonical(V, W, primitive_only)
+
+    monkeypatch.setattr(eis, "_canonical", recording)
+    for primitive_only, count in ((True, 200), (False, 340)):
+        seen.clear()
+        got = enumerate_isotropic_classes(
+            sp_a2, R, 20.0, primitive_only=primitive_only,
+            _force_general=True)
+        V = np.concatenate([v for v, _ in seen]).astype(np.int64)
+        W = np.concatenate([w for _, w in seen]).astype(np.int64)
+        base = enumerate_isotropic_classes(sp_a2, R, 20.0,
+                                           primitive_only=primitive_only)
+        assert len(got) == len(base) == count
+        assert np.array_equal(got.ells, base.ells)
+        g = np.gcd.reduce(V, axis=1)
+        if primitive_only:
+            assert (g == 1).all()
+            continue
+        assert set(g.tolist()) == {1, 2}
+        # one coset of W mod l' = V / g per <l', W>; within it, the
+        # lifts name one plane <V, W> per residue j mod g
+        two = np.flatnonzero(g == 2)
+        _, coset = rank2_column_hnf(V[two] // 2, W[two])
+        _, plane = rank2_column_hnf(V[two], W[two])
+        lifts = {}
+        for l, c, p in zip(V[two].tolist(), coset.tolist(), plane.tolist()):
+            lifts.setdefault((tuple(l), str(c)), set()).add(str(p))
+        assert max(map(len, lifts.values())) == 2
