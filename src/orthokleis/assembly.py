@@ -1,13 +1,12 @@
-"""Completed-series machinery: zeta and xi with reflection, the paired
+"""Completed-series machinery: zeta and xi, the paired
 gamma factors, a positive-cone matrix integral cross-check, and the
 assembly of completion-factor products with their reflection maps.
 
 Numeric policy: values are returned as machine complex numbers.  The
 environment variable ORTHOKLEIS_PRECISION (decimal digits, default 16)
-sets the working precision; above 16 digits the zeta core switches to
-mpmath arithmetic internally while keeping the same summation scheme.
-Gamma and log Gamma always come from mpmath at a fixed _GAMMA_DPS digits,
-well beyond the double they are rounded to.
+sets the working precision: zeta is computed by mpmath with 8 guard
+digits beyond it.  Gamma and log Gamma always come from mpmath at a fixed
+_GAMMA_DPS digits, well beyond the double they are rounded to.
 """
 
 from __future__ import annotations
@@ -49,66 +48,16 @@ def working_precision() -> int:
     return digits
 
 
-def bernoulli_number(n: int) -> Fraction:
-    """Exact Bernoulli number B_n, with B_1 = -1/2."""
-    return Fraction(*mpmath.bernfrac(n))
-
-
-def _em_parameters(s: complex, digits: int) -> tuple[int, int]:
-    t = abs(s.imag)
-    N = max(24, int(1.4 * digits) + int(0.7 * t) + 8)
-    M = max(10, digits // 2 + 6)
-    return N, M
-
-
-def _zeta_sum_float(s: complex, digits: int) -> complex:
-    N, M = _em_parameters(s, digits)
-    total = sum((j ** -s for j in range(1, N)), 0j)
-    total += N ** (1 - s) / (s - 1) + 0.5 * N ** -s
-    rise = s
-    npow = N ** (-s - 1)
-    for m in range(1, M + 1):
-        total += float(
-            bernoulli_number(2 * m) / math.factorial(2 * m)) * rise * npow
-        rise *= (s + 2 * m - 1) * (s + 2 * m)
-        npow /= N * N
-    return total
-
-def _zeta_sum_mp(s: complex, digits: int) -> complex:
-    # identical scheme, arbitrary-precision arithmetic
-    N, M = _em_parameters(s, digits)
-    with mpmath.workdps(digits + 8):
-        sm = mpmath.mpc(s)
-        total = mpmath.fsum(mpmath.power(j, -sm) for j in range(1, N))
-        total += mpmath.power(N, 1 - sm) / (sm - 1)
-        total += mpmath.power(N, -sm) / 2
-        rise = sm
-        npow = mpmath.power(N, -sm - 1)
-        for m in range(1, M + 1):
-            b = bernoulli_number(2 * m) / math.factorial(2 * m)
-            total += mpmath.mpf(b.numerator) / b.denominator * rise * npow
-            rise *= (sm + 2 * m - 1) * (sm + 2 * m)
-            npow /= N * N
-        return complex(total)
-
-
 def zeta(s, digits: int | None = None) -> complex:
-    """Riemann zeta by Euler-Maclaurin summation, reflected into the left
-    half-plane; accurate to well below 1e-10 for |Im s| <= 50."""
+    """Riemann zeta from mpmath at digits + 8 decimal digits (digits
+    defaults to the working precision), rounded to a machine complex."""
     s = complex(s)
     if abs(s - 1) < _POLE_TOL:
         raise PoleAt(1, residue=1, label="zeta")
     if digits is None:
         digits = working_precision()
-    core = _zeta_sum_mp if digits > 16 else _zeta_sum_float
-    # the summation scheme converges on |s| <= 1/2 as well, which keeps
-    # the reflection factor sin(pi s/2) * zeta(1-s) away from its 0 * inf
-    # collision at the origin
-    if s.real >= 0.5 or abs(s) <= 0.5:
-        return core(s, digits)
-    w = 1 - s
-    return (2 ** s * math.pi ** (s - 1) * cmath.sin(cmath.pi * s / 2)
-            * _gamma(w) * core(w, digits))
+    with mpmath.workdps(digits + 8):
+        return complex(mpmath.zeta(mpmath.mpc(s)))
 
 
 def _gamma(s: complex) -> complex:

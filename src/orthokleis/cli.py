@@ -709,6 +709,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error[precision]: {exc}", file=sys.stderr)
         return 2
+    if args.B is not None and not math.isfinite(args.B):
+        print(f"error[input]: --B must be finite, got {args.B}",
+              file=sys.stderr)
+        return 2
 
     try:
         L = load_gram(args.lattice)

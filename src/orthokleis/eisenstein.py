@@ -319,7 +319,10 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     limit = B * (1.0 + REL_EPS) + REL_EPS
     Dmax = math.isqrt(int(limit))
     # cheap whole-run feasibility scan before any fiber is built; each
-    # fiber is at most est_total <= 3 cap, so none needs its own estimate
+    # fiber is at most est_total <= 3 cap, so none needs its own estimate.
+    # Past 3 cap the scan stops at once while more indices are left than
+    # were scanned, as the work per index grows with D; past half way it
+    # finishes, and the refusal carries the estimate over every index
     est_total, t_max = 0.0, 0
     pairs = []
     for D in range(1, Dmax + 1):
@@ -329,11 +332,11 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
             est_total += est1 * est2
             t_max = max(t_max, *(t for _, _, t in plan1 + plan2))
             pairs.append((D, pvec, plan1, rvec, plan2))
-    if est_total > 3.0 * cap:
-        raise BudgetExceeded(
-            f"estimated candidate pair count {est_total:.2e} over image "
-            f"indices up to {Dmax} exceeds the enumeration cap",
-            int(est_total), cap)
+        if est_total > 3.0 * cap and (2 * D <= Dmax or D == Dmax):
+            raise BudgetExceeded(
+                f"estimated candidate pair count {est_total:.2e} over image "
+                f"indices up to {D} exceeds the enumeration cap",
+                int(est_total), cap)
     # every fiber shell is a slice of one enumeration
     ball = half_ball(space.L, t_max)
     blocks = [np.zeros((0, space.dim + 2, 2), dtype=np.int64)]
@@ -479,8 +482,8 @@ def enumerate_isotropic_classes(space: Space, R: np.ndarray, B: float,
                                 _force_general: bool = False) -> ClassList:
     """All classes [ell] with det(R[ell]) <= B (1e-9 relative slack at the
     boundary), S1[ell] = 0, rank 2, primitive unless told otherwise."""
-    if not B > 0:
-        raise ValueError("B must be positive")
+    if not 0 < B < math.inf:
+        raise ValueError("B must be positive and finite")
     R0 = base_majorant(space)
     if not _force_general and np.allclose(R, R0, rtol=0.0, atol=1e-12):
         # detR in the integral R0 is exactly the square of the image index

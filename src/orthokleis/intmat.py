@@ -8,12 +8,12 @@ stack of integer m x 2 matrices with int64 numpy arithmetic (all 2 x 2
 minors folded into one gcd, then a two-row Hermite form by extended
 Euclid).  int64 is used only under a headroom rule: every intermediate
 value is bounded in advance from the largest |entry| of the input (see
-`int64_fits`), and a batch that could overflow goes through the exact
-python path instead.  Nothing wraps silently.  `quad_rows`, an integer
-quadratic form on a stack of integer rows, follows the same rule with
-float64 as a cheaper first tier.  `congruent_form` and the exact group
-arithmetic of `orthogroup` (products, inverses and the form relation of
-`OrthElement`) follow it too.
+`int_dtype`), and a batch that could overflow runs the same code on
+python ints (numpy object arrays) instead.  Nothing wraps silently.
+`quad_rows`, an integer quadratic form on a stack of integer rows,
+follows the same rule with float64 as a cheaper first tier, and so do
+`congruent_form` and the exact group arithmetic of `orthogroup`
+(products, inverses and the form relation of `OrthElement`).
 """
 
 from __future__ import annotations
@@ -208,66 +208,6 @@ def integer_kernel(M):
     return out
 
 
-def snf_diagonal(M):
-    """Diagonal of the Smith normal form (elementary divisors, nonneg).
-
-    Pivot selection by minimal absolute value plus plain eliminations, so
-    each failed clearing pass strictly shrinks the pivot and the loop
-    terminates.  Fine for the small matrices this package meets.
-    """
-    A = mat_copy(M)
-    rows = len(A)
-    cols = len(A[0]) if rows else 0
-    diag = []
-    t = 0
-    while t < min(rows, cols):
-        # pivot: entry of minimal nonzero absolute value in the block
-        piv = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best = v
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        A[t], A[i0] = A[i0], A[t]
-        for row in A:
-            row[t], row[j0] = row[j0], row[t]
-        if A[t][t] < 0:
-            A[t] = [-x for x in A[t]]
-        p = A[t][t]
-        # single elimination pass; leftover remainders are < p in absolute
-        # value, so restarting with a fresh (smaller) pivot terminates
-        clean = True
-        for i in range(t + 1, rows):
-            q = A[i][t] // p
-            if q:
-                A[i] = [x - q * y for x, y in zip(A[i], A[t])]
-            if A[i][t]:
-                clean = False
-        for j in range(t + 1, cols):
-            q = A[t][j] // p
-            if q:
-                for row in A:
-                    row[j] -= q * row[t]
-            if A[t][j]:
-                clean = False
-        if not clean:
-            continue
-        # pivot must divide the remaining block
-        witness = next(((i, j) for i in range(t + 1, rows)
-                        for j in range(t + 1, cols) if A[i][j] % p), None)
-        if witness is not None:
-            A[t] = [x + y for x, y in zip(A[t], A[witness[0]])]
-            continue
-        diag.append(p)
-        t += 1
-    return diag
-
-
 def minors_gcd(M, k: int) -> int:
     """gcd of all k x k minors of an integer matrix (0 when all vanish)."""
     from itertools import combinations
@@ -337,9 +277,9 @@ def congruent_form(S, U) -> np.ndarray:
 
 
 def _xgcd(x, y):
-    """(g, s, t) with s x + t y = g = gcd(x, y) > 0, elementwise over int64
-    arrays with (x, y) never both zero.  Euclid runs masked over the batch;
-    |s| <= max(|x|, |y|) and |t| <= max(|x|, |y|) throughout."""
+    """(g, s, t) with s x + t y = g = gcd(x, y) > 0, elementwise over
+    integer arrays with (x, y) never both zero.  Euclid runs masked over
+    the batch; |s|, |t| <= max(|x|, |y|) throughout."""
     r0, r1 = x.copy(), y.copy()
     s0, s1 = np.ones_like(x), np.zeros_like(x)
     t0, t1 = np.zeros_like(x), np.ones_like(x)
@@ -357,20 +297,6 @@ def _xgcd(x, y):
     return r0 * sign, s0 * sign, t0 * sign
 
 
-def _rank2_hnf_exact(V, W):
-    """The python-int path of rank2_column_hnf: minors_gcd plus column_hnf
-    per candidate, with object arrays for results of any size."""
-    k, m = V.shape
-    g = np.zeros(k, dtype=object)
-    H = np.zeros((k, m, 2), dtype=object)
-    for i in range(k):
-        rows = [[int(v), int(w)] for v, w in zip(V[i], W[i])]
-        g[i] = minors_gcd(rows, 2)
-        if g[i]:
-            H[i] = column_hnf(rows)
-    return g, H
-
-
 def rank2_column_hnf(V, W):
     """Batched minors gcd and column Hermite form of k integer m x 2
     matrices whose columns are the rows of V and W (both (k, m)).
@@ -381,25 +307,24 @@ def rank2_column_hnf(V, W):
     (zeros otherwise).  Read as rows, H[i].T is the row Hermite form of
     the 2 x m matrix [V[i]; W[i]].
 
-    int64 runs only when every intermediate fits: minors and the Bezout
-    combinations are bounded by 2 M^2 and the final reduction product by
-    4 M^4, M the largest |entry|.  Otherwise the exact python path runs
-    and g, H come back as object arrays of python ints.
+    Minors and the Bezout combinations are bounded by 2 M^2 and the final
+    reduction product by 4 M^4, M the largest |entry|: the batch runs on
+    int64 when that fits, and on python ints otherwise, where g and H
+    come back as object arrays.
     """
     V = np.asarray(V)
     W = np.asarray(W)
     k, m = V.shape
     M = max(max_abs(V), max_abs(W))
-    if not int64_fits(4 * M**4 + 2 * M**2):
-        return _rank2_hnf_exact(V, W)
-    V = V.astype(np.int64)
-    W = W.astype(np.int64)
+    dt = int_dtype(4 * M**4 + 2 * M**2)
+    V = V.astype(dt)
+    W = W.astype(dt)
     # gcd of the minors, accumulated one column against all later ones
-    g = np.zeros(k, dtype=np.int64)
+    g = np.zeros(k, dtype=dt)
     for i in range(m - 1):
         minors = V[:, i, None] * W[:, i + 1:] - W[:, i, None] * V[:, i + 1:]
         g = np.gcd(g, np.gcd.reduce(minors, axis=1))
-    H = np.zeros((k, m, 2), dtype=np.int64)
+    H = np.zeros((k, m, 2), dtype=dt)
     full = np.flatnonzero(g)
     if full.size == 0:
         return g, H

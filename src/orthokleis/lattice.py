@@ -39,7 +39,6 @@ from .intmat import (
     max_abs,
     minors_gcd,
     quad_rows,
-    snf_diagonal,
 )
 
 # Root lattice Gram matrices.  Only the last one is tied to the E8 example
@@ -127,6 +126,8 @@ def validate_gram(S) -> GramLattice:
     """
     rows = [[int(x) for x in row] for row in S]
     n = len(rows)
+    if n < 1:
+        raise ValueError("a Gram matrix needs at least one row")
     if any(len(r) != n for r in rows):
         raise NotSymmetric("matrix is not square")
     for i in range(n):
@@ -293,11 +294,16 @@ def ellipsoid_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
     return Y @ U.T
 
 
-def _check_layer(i: int, total: int, cap: int, spent: int):
-    if total > cap - spent:
+def _check_layer(i: int, total, cap: int, spent: int):
+    """Refuse a layer of `total` candidates, an int or a float count, past
+    the cap - spent left of the cap; a count that is not finite too.  A
+    float count is exact below 2^53 and is shown rounded past it."""
+    if not total <= cap - spent:
+        shown = int(total) if total < 2 ** 53 else f"{float(total):.3e}"
         raise BudgetExceeded(
-            f"enumeration layer {i} holds {total} candidates, more than "
-            f"the {cap - spent} left of the cap {cap}", total, cap)
+            f"enumeration layer {i} holds {shown} candidates, more than "
+            f"the {cap - spent} left of the cap {cap}",
+            int(total) if math.isfinite(total) else total, cap)
 
 
 def _interval_points(lo, hi, mask=None):
@@ -349,7 +355,9 @@ def _isotropic_last(S: np.ndarray, tails: np.ndarray, lo, hi, cap: int,
     roots = np.where(ok, roots, 0).astype(np.int64)
     total = int(ok.sum())
     if degenerate is not None:
-        total += int(np.maximum(hi - lo + 1, 0)[degenerate].sum())
+        # in float, like every other layer count: hi - lo may pass int64
+        span = hi[degenerate].astype(float) - lo[degenerate] + 1
+        total += np.maximum(span, 0).sum()
     _check_layer(0, total, cap, spent)
     # solved roots, then the whole interval of each degenerate row, put
     # back in parent order (a stable sort keeps each interval ascending)
@@ -425,18 +433,28 @@ def _fp_points(Q: np.ndarray, T: float, cap: int, spent: int = 0,
         uii = U[i, i]
         cen = -acc[:, i] / uii
         rad = np.sqrt(np.maximum(rem, 0.0)) / uii
-        lo = np.ceil(cen - rad - 1e-12).astype(np.int64)
-        hi = np.floor(cen + rad + 1e-12).astype(np.int64)
+        lo = np.ceil(cen - rad - 1e-12)
+        hi = np.floor(cen + rad + 1e-12)
         if half:
             # row 0 carries the all-zero tail: rows list their parents in
             # order, and the clipped interval of the row 0 above starts
             # at the child 0, which lies inside whatever ball is nonempty
-            lo[0] = max(lo[0], 0)
-        if i == 0 and iso is not None:
+            lo[0] = max(lo[0], 0.0)
+        solve = i == 0 and iso is not None
+        if not solve:
+            # counted in float before the int64 cast, which would wrap:
+            # the count is exact while it is below 2^53, far above any cap
+            _check_layer(i, np.maximum(hi - lo + 1, 0).sum(), cap, spent)
+        # int64 holds [-2^63, 2^63)
+        if not ((lo >= -2.0 ** 63).all() and (hi < 2.0 ** 63).all()):
+            raise BudgetExceeded(
+                f"enumeration layer {i} reaches coordinates outside int64",
+                None, cap)
+        lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+        if solve:
             tails = _rebuild(links)
             idx, vi = _isotropic_last(iso, tails, lo, hi, cap, spent)
         else:
-            _check_layer(i, int(np.maximum(hi - lo + 1, 0).sum()), cap, spent)
             idx, vi = _interval_points(lo, hi)
         if idx.size == 0:
             return np.zeros((0, m), dtype=np.int64)
@@ -520,11 +538,11 @@ def vectors_of_norm(L: GramLattice, t: int):
 
 
 def is_primitive(M) -> bool:
-    """True iff all elementary divisors of the integer matrix are 1."""
+    """True iff all elementary divisors of the integer matrix are 1: the
+    product of the first k of them is the gcd of the k x k minors, 0 below
+    rank k, so with k = min(rows, columns) that gcd is 1."""
     rows = [[int(x) for x in row] for row in M]
-    k = min(len(rows), len(rows[0]))
-    d = snf_diagonal(rows)
-    return len(d) == k and all(e == 1 for e in d)
+    return minors_gcd(rows, min(len(rows), len(rows[0]))) == 1
 
 
 def find_norm2_vector(L: GramLattice):
@@ -560,6 +578,8 @@ def load_gram(path_or_name: str) -> GramLattice:
     if not tokens:
         raise ValueError(f"empty Gram file: {path_or_name}")
     n = int(tokens[0])
+    if n < 1:
+        raise ValueError(f"Gram dimension must be at least 1, got {n}")
     vals = [int(t) for t in tokens[1:]]
     if len(vals) != n * n:
         raise ValueError(f"expected {n * n} entries, found {len(vals)}")

@@ -17,12 +17,14 @@ with det(d_Z) = dz1 dz2 - (1/4) dz3^2 in the entry coordinates.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import (
+    BudgetExceeded,
     ConvergenceGuard,
     NotPositiveDefinite,
     SingularDenominator,
@@ -30,6 +32,7 @@ from .errors import (
 )
 from .exppoly import ExpPoly
 from .intmat import PAIR_SLICE, minors_gcd, rank2_column_hnf, row_hnf_transform
+from .lattice import DEFAULT_CAP
 from .majorant import base_majorant
 from .orthogroup import Space
 
@@ -379,6 +382,12 @@ def siegel_coset_reps(B: int):
     matrix utilities (positive pivots, entries above reduced)."""
     if B < 0:
         raise ValueError("entry bound must be nonnegative")
+    count = (2 * B + 1) ** 4
+    if count > DEFAULT_CAP:
+        top = (math.isqrt(math.isqrt(DEFAULT_CAP)) - 1) // 2
+        raise BudgetExceeded(
+            f"entry bound above {top}: its (2B + 1)^4 blocks pass the "
+            f"enumeration cap {DEFAULT_CAP}", count, DEFAULT_CAP)
     # every 2 x 2 block, entries in row order (x00, x01, x10, x11)
     blocks = np.array(list(itertools.product(range(-B, B + 1), repeat=4)),
                       dtype=np.int64)

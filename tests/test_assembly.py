@@ -14,7 +14,6 @@ from scipy.special import roots_jacobi
 from orthokleis.assembly import (
     CompletedSeriesFactors,
     _gauss_jacobi,
-    bernoulli_number,
     completed_dirichlet,
     completed_e8_eisenstein,
     dirichlet_reflection,
@@ -39,22 +38,6 @@ from orthokleis.orthogroup import random_point, space_for
 mpmath.mp.dps = 25
 
 
-class TestBernoulli:
-    def test_exact_values(self):
-        assert bernoulli_number(2) == Fraction(1, 6)
-        assert bernoulli_number(10) == Fraction(5, 66)
-        assert bernoulli_number(12) == Fraction(-691, 2730)
-        assert bernoulli_number(7) == 0
-
-    def test_against_the_recurrence(self):
-        # sum_{k<=n} C(n+1, k) B_k = 0 for n >= 1, with B_1 = -1/2
-        ref = [Fraction(1)]
-        for n in range(1, 120):
-            ref.append(-sum(math.comb(n + 1, k) * b
-                            for k, b in enumerate(ref)) / (n + 1))
-        assert [bernoulli_number(n) for n in range(120)] == ref
-
-
 class TestZeta:
     def test_closed_forms(self):
         assert abs(zeta(2) - math.pi ** 2 / 6) < 1e-14
@@ -74,6 +57,18 @@ class TestZeta:
             zeta(1)
         assert info.value.location == 1
         assert info.value.residue == 1
+
+    def test_correctly_rounded(self):
+        # the zero-adjacent point 0.5 + 14.134725i, s = -0.5 and three
+        # points of the verify ledger's xi-self-dual grid, each within
+        # 2^-52 relative of a 40-digit value
+        pts = [-0.5, 0.5 + 14.134725j] + [
+            complex(-3.3 + 0.4 * j, 0.3 * ((j % 5) - 2)) for j in (0, 7, 13)]
+        with mpmath.workdps(40):
+            for p in pts:
+                ref = mpmath.zeta(mpmath.mpc(p))
+                err = abs(mpmath.mpc(zeta(p)) - ref) / abs(ref)
+                assert err <= mpmath.mpf(2) ** -52, (p, err)
 
     def test_high_precision_path(self):
         for p in (0.5 + 40j, -2.2 + 7j, 3.3):

@@ -80,6 +80,34 @@ def test_missing_gram_file(capsys):
     assert "error[lattice]" in err
 
 
+@pytest.mark.parametrize("gram", ["0\n", "-2\n2 1\n1 2\n"])
+def test_gram_file_of_no_rows_refused(tmp_path, capsys, gram):
+    f = tmp_path / "empty.gram"
+    f.write_text(gram)
+    for command in ("report", "verify"):
+        code, out, err = run_cli(capsys, "--lattice", str(f),
+                                 "--command", command)
+        assert code == 2 and out == ""
+        assert "error[lattice]: Gram dimension must be at least 1" in err
+
+
+@pytest.mark.parametrize("command, B", [("eisenstein", "inf"),
+                                        ("siegel", "inf"),
+                                        ("eisenstein", "nan")])
+def test_non_finite_bound_refused(capsys, command, B):
+    code, out, err = run_cli(capsys, "--lattice", "A2", "--command", command,
+                             "--B", B)
+    assert code == 2 and out == ""
+    assert f"error[input]: --B must be finite, got {B}" in err
+
+
+def test_siegel_bound_past_the_cap_refused(capsys):
+    code, out, err = run_cli(capsys, "--lattice", "A2", "--command",
+                             "siegel", "--B", "1e300")
+    assert code == 2 and out == ""
+    assert "error[BudgetExceeded]: entry bound above 26" in err
+
+
 def test_bad_precision_env(monkeypatch, capsys):
     monkeypatch.setenv("ORTHOKLEIS_PRECISION", "many")
     code, _, err = run_cli(capsys, "--lattice", "A1", "--command", "report")

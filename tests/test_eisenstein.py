@@ -214,6 +214,38 @@ def test_budget_exceeded_is_fast_for_large_e8(sp_e8):
     assert time.time() - t0 < 10.0
 
 
+def test_base_path_refuses_inside_its_feasibility_scan(sp_e8, monkeypatch):
+    # the scan stops at the first image index whose running estimate
+    # passes 3 cap, instead of finishing all D <= sqrt(B) first; the plan
+    # count stops a scan that would not, long before it runs out of time
+    # or memory (the 41 index sublattices of D <= 7 take 82 plans)
+    import time
+    import orthokleis.eisenstein as eis
+
+    real, plans = eis._fiber_plan, []
+
+    def counted(space, pq):
+        plans.append(pq)
+        assert len(plans) <= 82, "the scan went on past D = 7"
+        return real(space, pq)
+
+    monkeypatch.setattr(eis, "_fiber_plan", counted)
+    R = base_majorant(sp_e8)
+    for B in (1e6, 1e300):
+        plans.clear()
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="up to 7 exceeds"):
+            enumerate_isotropic_classes(sp_e8, R, B)
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_non_finite_bound_refused(sp_a2):
+    R = base_majorant(sp_a2)
+    for B in (math.inf, math.nan, 0.0, -1.0):
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            enumerate_isotropic_classes(sp_a2, R, B)
+
+
 def test_budget_refusal_does_not_depend_on_earlier_calls(sp_a2):
     # a successful enumeration under a large cap must not let a later call
     # with a small cap skip its own budget check

@@ -21,7 +21,6 @@ from orthokleis.intmat import (
     mat_mul,
     minors_gcd,
     row_hnf,
-    snf_diagonal,
 )
 from orthokleis.lattice import (
     CATALOG,
@@ -189,6 +188,14 @@ def test_is_primitive_examples():
     assert is_primitive(tall([e1, e2]))
     assert not is_primitive(tall([[2 * c for c in e1], [2 * c for c in e2]]))
     assert is_primitive(tall([[a + b for a, b in zip(e1, e2)], e2]))
+    # wide and tall alike need every min(rows, columns) minor gcd to be 1
+    assert is_primitive([[1, 0, 3, 4, 5], [0, 1, 6, 7, 8]])
+    assert not is_primitive([[2, 0, 4, 6, 8], [0, 2, 6, 8, 10]])
+    assert is_primitive([[2, 3], [5, 7], [4, 6]])
+    assert not is_primitive([[2, 4], [6, 8], [4, 6]])  # minors gcd 4
+    # rank 1 in two columns: every 2 x 2 minor vanishes
+    assert not is_primitive(tall([e1, [3 * c for c in e1]]))
+    assert not is_primitive([[1, 2, 3, 4, 5], [2, 4, 6, 8, 10]])
 
 
 @settings(max_examples=150, deadline=None)
@@ -249,25 +256,6 @@ def test_row_hnf_idempotent_and_integral(rows):
     assert row_hnf(h) == h
     # same row span over Z: HNF of the stack equals HNF of either
     assert row_hnf(rows + h) == row_hnf(rows + rows)
-
-
-def test_snf_examples():
-    assert snf_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert snf_diagonal([[2, 0], [0, 2]]) == [2, 2]
-    assert snf_diagonal([[1, 0], [0, 0]]) == [1]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2), min_size=2, max_size=4))
-def test_snf_products_match_minor_gcds(rows):
-    d = snf_diagonal(rows)
-    g1 = minors_gcd(rows, 1)
-    if g1 == 0:
-        assert d == []
-        return
-    assert d[0] == g1
-    if len(d) > 1:
-        assert d[0] * d[1] == minors_gcd(rows, 2)
 
 
 def test_bareiss_det_vs_numpy():
@@ -649,6 +637,19 @@ def test_fp_points_match_reference_rows_and_refusals(problem):
         _fp_points(Q, T, cap, 0, iso, half)
     assert str(new.value) == str(ref.value)
     assert (new.value.count, new.value.cap) == (ref.value.count, cap)
+
+
+def test_fp_points_refuse_layers_past_int64():
+    # a layer of 1.6e20 candidates used to wrap in the int64 cast and come
+    # out empty, so the ball looked to hold one point
+    A2f = A2.gram_np().astype(float)
+    for T in (1e36, 1e40, 1e300, math.inf):
+        with pytest.raises(BudgetExceeded, match="enumeration layer 1 holds"):
+            ellipsoid_points(A2f, T, DEFAULT_CAP)
+    # an interval end past int64 is refused even when it holds few points
+    with pytest.raises(BudgetExceeded, match="outside int64"):
+        _fp_points(np.array([[1.0]]), 1e40, DEFAULT_CAP,
+                   iso=np.array([[0]]))
 
 
 @pytest.fixture(scope="module")

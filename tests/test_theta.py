@@ -315,6 +315,15 @@ def test_budget_guard(sp_e8):
         )
 
 
+def test_report_refuses_a_ball_past_int64(sp_a2):
+    # the top layer's 5.8e19 candidates used to wrap in the int64 cast,
+    # and the report came back as one class, value 1, "exhaustive"
+    q = ThetaQuery(sp_a2, 2j * np.eye(2), base_tube(sp_a2), 1e40)
+    with pytest.raises(BudgetExceeded,
+                       match=r"layer 11 holds 5\.774e\+19 candidates"):
+        theta_report(q)
+
+
 def test_cli_theta_row_flags_a_vacuous_tail():
     from orthokleis.cli import cmd_eval_theta
 
