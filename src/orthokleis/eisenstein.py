@@ -33,12 +33,20 @@ are exact or carry a 1e-9 relative boundary guard.
 Class lists are columnar.  Both enumerators and `transport_classes`
 give the canonical representatives rank2_column_hnf returns as one
 (k, m, 2) integer stack (int64, or python ints as dtype object past the
-kernel's int64 headroom).  One lexsort over the row-major entries
-deduplicates it, for both dtypes; detR is then computed once per class,
-from a Lagrange-Gauss reduced basis, so it is a function of the class,
-and the classes are ordered by (detR, representative read row by row).
-The result is a `ClassList`, a sequence of `IsotropicClass` items built
-only when indexed or iterated.
+kernel's int64 headroom), and the classes are ordered by (detR,
+representative read row by row).  Each path finishes its stack its own
+way:
+- the base-point stack names each class once, and detR is D^2, with D
+  read exactly off each representative's psi image; one sort on
+  (D, representative) orders it, with no deduplication and no reduction;
+- the general stack can name a class more than once, so it is
+  deduplicated, and detR is computed once per class from a
+  Lagrange-Gauss reduced basis, which makes it a function of the class;
+- the transported stack names each class once (g is a bijection on
+  classes), and its detR is computed from a reduced basis, as above.
+Every row order is `intmat.lex_order`, which packs small-integer rows
+into a few int64 keys.  The result is a `ClassList`, a sequence of
+`IsotropicClass` items built only when indexed or iterated.
 """
 
 from __future__ import annotations
@@ -59,6 +67,7 @@ from .intmat import (
     int64_fits,
     int_dtype,
     integer_kernel,
+    lex_order,
     mat_mul,
     mat_transpose,
     max_abs,
@@ -98,8 +107,9 @@ def _item(rows, detR) -> IsotropicClass:
 class ClassList(Sequence):
     """A class list in columns: `ells`, a (k, m, 2) stack of canonical
     representatives (int64, or python ints as dtype object), and `detR`,
-    the float64 det(R[ell]) of each class, a function of the class alone
-    (see `_reduced_det`), in (detR, representative) order.
+    the float64 det(R[ell]) of each class, a function of the class alone,
+    in (detR, representative) order.  At the base point detR is the exact
+    D^2 of `_image_index`; elsewhere it comes from `_reduced_det`.
 
     Indexing and iteration build IsotropicClass items on demand; a slice
     is a ClassList sharing the arrays.  Both arrays are read-only.
@@ -146,14 +156,19 @@ def _canonical(V, W, primitive_only: bool):
         yield H[g == 1 if primitive_only else g != 0]
 
 
+def _flat(H: np.ndarray) -> np.ndarray:
+    """The (k, 2m) view of the stack H: each representative read row by
+    row."""
+    k, m, _ = H.shape
+    return H.reshape(k, 2 * m)
+
+
 def _distinct(H: np.ndarray) -> np.ndarray:
     """The index of one row per distinct representative in the stack H, in
     row-major order of the representatives."""
-    k, m = H.shape[:2]
-    flat = H.reshape(k, 2 * m)
-    # lexsort takes its last key as the primary one
-    order = np.lexsort(flat.T[::-1])
-    new = np.zeros(k, dtype=bool)
+    flat = _flat(H)
+    order = lex_order(flat.T)
+    new = np.zeros(H.shape[0], dtype=bool)
     new[:1] = True
     for col in flat.T:
         ranked = col[order]
@@ -209,17 +224,44 @@ def _reduced_det(H: np.ndarray, R: np.ndarray) -> np.ndarray:
     return aa * bb - ab * ab
 
 
-def _class_list(H: np.ndarray, R: np.ndarray) -> ClassList:
-    """The distinct classes of the canonical representatives H, with detR
-    in the majorant R, ordered by (detR, representative)."""
-    keep = _distinct(H)
+def _reduced_list(H: np.ndarray, R: np.ndarray,
+                  keep: np.ndarray) -> ClassList:
+    """The classes H[keep], keep in representative order and naming each
+    class once, with detR in the majorant R from `_reduced_det`, ordered
+    by (detR, representative)."""
     det = np.concatenate([np.zeros(0), *(
         _reduced_det(H[keep[lo:lo + PAIR_SLICE]], R)
         for lo in range(0, keep.shape[0], PAIR_SLICE))])
-    # keep is in representative order, so a stable sort on detR alone
-    # gives the (detR, representative) order
+    # a stable sort on detR alone keeps the representative order of ties
     order = np.argsort(det, kind="stable")
     return ClassList(H[keep[order]], det[order])
+
+
+def _class_list(H: np.ndarray, R: np.ndarray) -> ClassList:
+    """The distinct classes of the canonical representatives H, with detR
+    in the majorant R, ordered by (detR, representative)."""
+    return _reduced_list(H, R, _distinct(H))
+
+
+def _image_index(H: np.ndarray) -> np.ndarray:
+    """D = [Z^2 : psi(P)] for the column lattice P of each representative
+    in the stack H, exactly: |det| of the images psi(v) = (a + b, c + d)
+    of its two columns, v = (a, c, x, d, b)."""
+    H = H.astype(int_dtype(8 * max_abs(H) ** 2), copy=False)
+    p = H[:, 0] + H[:, -1]
+    q = H[:, 1] + H[:, -2]
+    return np.abs(p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+
+
+def _base_class_list(H: np.ndarray) -> ClassList:
+    """The base-point class list of the stack H, which names each class
+    once: det(R0[ell]) = D^2 for the image index D (see the module
+    docstring), so one sort on (D, representative) orders it and detR is
+    D^2, with no deduplication and no reduction."""
+    D = _image_index(H)
+    order = lex_order([D, *_flat(H).T])
+    D = D[order]
+    return ClassList(H[order], (D * D).astype(np.float64))
 
 
 def _divisors(m: int):
@@ -233,11 +275,13 @@ def sigma1(m: int) -> int:
 
 # ------------------------------------------------------- base-point path
 
-def _ball_estimate(L: GramLattice, t: float) -> float:
-    """Volume estimate of #{x : S[x] <= t}; used only to guard budgets."""
-    n = L.n
-    vol = math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-    return vol * max(t, 0.0) ** (n / 2.0) / math.sqrt(float(L.det)) + 1.0
+def _ball_estimate(L: GramLattice):
+    """t -> a volume estimate of #{x : S[x] <= t}; used only to guard
+    budgets.  The constant factors are computed once, here."""
+    half = L.n / 2.0
+    vol = math.pi ** half / math.gamma(half + 1.0)
+    root = math.sqrt(float(L.det))
+    return lambda t: vol * max(t, 0.0) ** half / root + 1.0
 
 
 def _index_sublattices(D: int):
@@ -252,6 +296,7 @@ def _fiber_plan(space: Space, pq):
     estimate of its size."""
     p, q = pq
     bound = p * p + q * q
+    estimate = _ball_estimate(space.L)
     plan = []
     est = 0.0
     ulim = math.isqrt(bound)
@@ -264,7 +309,7 @@ def _fiber_plan(space: Space, pq):
                 continue
             t = (bound - u * u - w * w) // 2
             plan.append((u, w, t))
-            est += _ball_estimate(space.L, t)
+            est += estimate(t)
     return plan, est
 
 
@@ -315,7 +360,8 @@ def _base_classes(space: Space, B: float, cap: int, primitive_only: bool):
     for v != 0 in P.  So P is lifted from exactly one image sublattice,
     and from exactly one pair of fiber points over the one reduced basis
     _index_sublattices gives that image: each class arrives once, and no
-    deduplication is needed on the way."""
+    deduplication is needed, on the way or after it.  `_base_class_list`
+    orders the stack and reads detR = D^2 off each row."""
     limit = B * (1.0 + REL_EPS) + REL_EPS
     Dmax = math.isqrt(int(limit))
     # cheap whole-run feasibility scan before any fiber is built; each
@@ -395,7 +441,8 @@ def _general_classes(space: Space, R: np.ndarray, B: float, cap: int,
     """The canonical representatives of the classes at a general
     majorant R, as one (k, m, 2) stack, each class reached through its
     reduced bases (l, m): a class appears more than once only at ties
-    between those, and _class_list keeps one row per class.
+    between those.  `_class_list` keeps one row per class and computes
+    its detR from a reduced basis of it.
 
     For each short isotropic l (one of each pair +-l, and only primitive
     ones with primitive_only) the cosets m_bar + Z l' of the quotient
@@ -487,7 +534,7 @@ def enumerate_isotropic_classes(space: Space, R: np.ndarray, B: float,
     R0 = base_majorant(space)
     if not _force_general and np.allclose(R, R0, rtol=0.0, atol=1e-12):
         # detR in the integral R0 is exactly the square of the image index
-        return _class_list(_base_classes(space, B, cap, primitive_only), R0)
+        return _base_class_list(_base_classes(space, B, cap, primitive_only))
     return _class_list(_general_classes(space, R, B, cap, primitive_only), R)
 
 
@@ -523,12 +570,12 @@ def transport_classes(space: Space, classes: ClassList, g: OrthElement,
     ells = classes.ells
     dt = int_dtype(m * max_abs(g.mat) * max_abs(ells))
     moved = g.mat.astype(dt) @ ells.astype(dt)
-    # g is a bijection on classes, so none repeats
     H = np.concatenate([np.zeros((0, m, 2), dtype=np.int64),
                         *_canonical(moved[:, :, 0], moved[:, :, 1], False)])
     if H.shape[0] < moved.shape[0]:
         raise RankDeficient("a transported class has rank below 2")
-    return _class_list(H, R_new)
+    # g is a bijection on classes, so none repeats: order, no deduplication
+    return _reduced_list(H, R_new, lex_order(_flat(H).T))
 
 
 def check_convergence(s: complex, line: float,

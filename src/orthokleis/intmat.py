@@ -247,6 +247,46 @@ def int_dtype(bound: int):
     return np.int64 if int64_fits(bound) else object
 
 
+def lex_order(keys) -> np.ndarray:
+    """The stable permutation sorting by keys[0], then keys[1], and so on,
+    for equal-length 1-D integer arrays: np.lexsort(keys[::-1]).
+
+    When every key is int64 and spans at most INT64_MAX, the keys are
+    packed into as few int64 words as their spans allow.  Each key is an
+    offset-binary field x - min(x) of bit_length(max - min) bits, and a
+    word holds at most 63 bits of fields, so a word orders as its fields
+    read left to right; one stable sort of the words then gives the same
+    permutation.  Otherwise (python ints, or a wider span) the plain
+    lexsort runs on the keys as given."""
+    keys = [np.asarray(k) for k in keys]
+    if keys[0].size == 0:
+        return np.arange(0)
+    if any(k.dtype != np.int64 for k in keys):
+        return np.lexsort(keys[::-1])
+    lows = [int(k.min()) for k in keys]
+    spans = [int(k.max()) - lo for k, lo in zip(keys, lows)]
+    if not int64_fits(max(spans)):
+        return np.lexsort(keys[::-1])
+    words, used = [], 63
+    for k, lo, span in zip(keys, lows, spans):
+        bits = span.bit_length()
+        if bits == 0:
+            continue  # a constant key orders nothing
+        field = k - np.int64(lo)  # exact: the true difference fits int64
+        if used + bits > 63:
+            words.append(field)
+            used = bits
+        else:
+            words[-1] <<= bits
+            words[-1] |= field
+            used += bits
+    if not words:
+        return np.arange(keys[0].size)
+    if len(words) == 1:
+        return np.argsort(words[0], kind="stable")
+    return np.lexsort(words[::-1])
+
+
 def quad_rows(A, Y) -> np.ndarray:
     """A[y] = y^t A y for an integer form A (k x k) and each row y of the
     integer array Y, exactly.  Every partial sum is bounded in absolute

@@ -36,6 +36,7 @@ from .intmat import (
     congruent_form,
     fraction_inverse,
     int_dtype,
+    lex_order,
     max_abs,
     minors_gcd,
     quad_rows,
@@ -73,15 +74,13 @@ CATALOG = {
 
 @dataclass(frozen=True)
 class GramLattice:
-    """An even positive definite Gram matrix with its level."""
+    """An even positive definite Gram matrix with its level and its
+    determinant, both functions of S."""
 
     n: int
     S: tuple  # tuple of tuples of ints
     q: int    # level: least q with q * S^{-1} even integral
-
-    @property
-    def det(self) -> int:
-        return bareiss_det([list(r) for r in self.S])
+    det: int  # det S, the last leading minor validate_gram checks
 
     def gram(self):
         return [list(r) for r in self.S]
@@ -142,7 +141,8 @@ def validate_gram(S) -> GramLattice:
         if minor <= 0:
             raise NotPositiveDefinite(k)
     Stup = tuple(tuple(r) for r in rows)
-    return GramLattice(n=n, S=Stup, q=_level_from_inverse(fraction_inverse(rows)))
+    q = _level_from_inverse(fraction_inverse(rows))
+    return GramLattice(n=n, S=Stup, q=q, det=minor)
 
 
 def _level_from_inverse(inv) -> int:
@@ -490,7 +490,7 @@ def half_ball(L: GramLattice, bound: int):
     X = np.where((lead < 0)[:, None], -pts, pts)
     norms = quad_rows(L.S, X)
     X, norms = X[norms <= bound], norms[norms <= bound]
-    order = np.lexsort((*X.T[::-1], norms))
+    order = lex_order([norms, *X.T])
     X, norms = X[order], norms[order]
     X.flags.writeable = norms.flags.writeable = False
     return X, norms

@@ -31,7 +31,7 @@ from .errors import (
     XDependentInput,
 )
 from .exppoly import ExpPoly
-from .intmat import PAIR_SLICE, minors_gcd, rank2_column_hnf, row_hnf_transform
+from .intmat import PAIR_SLICE, rank2_column_hnf
 from .lattice import DEFAULT_CAP
 from .majorant import base_majorant
 from .orthogroup import Space
@@ -338,32 +338,12 @@ def one_dim_annihilation(n: int) -> dict:
 
 # ------------------------------------- degenerate series over (C, D) pairs
 
-def _coprime_symmetric(C, D) -> bool:
-    """Single-pair reference form of the test siegel_coset_reps runs in
-    batches."""
-    CDt = [
-        [sum(C[i][k] * D[j][k] for k in range(2)) for j in range(2)]
-        for i in range(2)
-    ]
-    if CDt[0][1] != CDt[1][0]:
-        return False
-    stacked = [list(C[0]) + list(D[0]), list(C[1]) + list(D[1])]
-    return minors_gcd(stacked, 2) == 1
-
-
-def _canonical_pair(C, D):
-    """Single-pair reference form of the canonical key siegel_coset_reps
-    and translate_coset_classes compute in batches."""
-    stacked = [list(C[0]) + list(D[0]), list(C[1]) + list(D[1])]
-    H, _ = row_hnf_transform(stacked)
-    return tuple(tuple(row) for row in H)
-
-
 def _canonical_pairs(X):
-    """Batched _canonical_pair.  Each row of the (k, 8) array X is a pair
-    laid out as [C0 | D0 | C1 | D1], the two rows of the stacked matrix
-    [C | D].  Returns (g, Y): the gcd of the 2 x 2 minors of each [C | D]
-    (1 for a coprime pair) and its row Hermite form in the same layout."""
+    """The canonical keys of pairs (C, D), in a batch.  Each row of the
+    (k, 8) array X is a pair laid out as [C0 | D0 | C1 | D1], the two rows
+    of the stacked matrix [C | D].  Returns (g, Y): the gcd of the 2 x 2
+    minors of each [C | D] (1 for a coprime pair) and its row Hermite form
+    in the same layout."""
     g, H = rank2_column_hnf(X[:, :4], X[:, 4:])
     return g, H.transpose(0, 2, 1).reshape(-1, 8)
 

@@ -1,6 +1,8 @@
 """The columnar class list: its sequence contract, and its classes, detR
 and order checked against the canonicalised candidate rows, exact
-rational determinants and a plain sort."""
+rational determinants and a plain sort; the base-point finish against
+the deduplicate-and-reduce route, and the packed row order against a
+plain lexsort."""
 
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +18,7 @@ from orthokleis.eisenstein import (
     enumerate_isotropic_classes,
     transport_classes,
 )
+from orthokleis.intmat import lex_order
 from orthokleis.lattice import load_gram
 from orthokleis.majorant import base_majorant, majorant_at
 from orthokleis.orthogroup import (
@@ -281,3 +284,165 @@ def test_transported_det_is_exact_to_rounding(sp_e8):
     honest = enumerate_isotropic_classes(sp_e8, R, 5.0)
     assert np.array_equal(moved.ells, honest.ells)
     assert moved.detR.tobytes() == honest.detR.tobytes()
+
+
+# ------------------------------------------------ the base-point finish
+
+def _record_base_stack(monkeypatch):
+    """Record the stack _base_classes returns; returns the list it is
+    appended to."""
+    stacks = []
+    base_classes = eis._base_classes
+
+    def recording(*args):
+        H = base_classes(*args)
+        stacks.append(H)
+        return H
+
+    monkeypatch.setattr(eis, "_base_classes", recording)
+    return stacks
+
+
+@pytest.mark.parametrize("primitive_only", [True, False])
+@pytest.mark.parametrize("name, B, cap", [
+    ("E8", 16.0, None), ("E8", 20.0, None), ("A2", 100.0, None),
+    ("A2", 900.0, 3 * 10**7), ("D4", 100.0, None)])
+def test_base_list_matches_dedup_and_reduce_route(name, B, cap,
+                                                  primitive_only,
+                                                  monkeypatch):
+    # the oracle is the route the base path took before: deduplicate the
+    # stack, reduce every class to get its detR, sort on (detR, rows)
+    space = space_for(load_gram(name))
+    R0 = base_majorant(space)
+    stacks = _record_base_stack(monkeypatch)
+    kwargs = {} if cap is None else {"cap": cap}
+    got = enumerate_isotropic_classes(space, R0, B,
+                                      primitive_only=primitive_only, **kwargs)
+    ref = eis._class_list(stacks[0], R0)
+    assert len(got) == stacks[0].shape[0]
+    assert np.array_equal(got.ells, ref.ells)
+    assert got.detR.dtype == ref.detR.dtype == np.float64
+    assert got.detR.tobytes() == ref.detR.tobytes()
+    if name == "E8" and primitive_only:
+        assert len(got) == 245288
+
+
+def test_image_index_is_the_walked_index(sp_a2, sp_e8, monkeypatch):
+    # each candidate block comes from one pair of fibers over the reduced
+    # basis (p, r) of one index-D image; _image_index reads that D back
+    # from the canonical rows, and D^2 is the reduced-basis det in R0
+    walked, seen = [], []
+    fiber, canonical = eis._fiber, eis._canonical
+
+    def recording_fiber(space, pq, *args):
+        walked.append(pq)
+        return fiber(space, pq, *args)
+
+    def recording_canonical(*args):
+        (p0, p1), (r0, r1) = walked[-2:]
+        for H in canonical(*args):
+            seen.append((abs(p0 * r1 - p1 * r0), H.copy()))
+            yield H
+
+    monkeypatch.setattr(eis, "_fiber", recording_fiber)
+    monkeypatch.setattr(eis, "_canonical", recording_canonical)
+    for space, B, primitive_only in [(sp_a2, 100.0, True),
+                                     (sp_a2, 100.0, False),
+                                     (sp_e8, 9.0, True)]:
+        seen.clear()
+        enumerate_isotropic_classes(space, base_majorant(space), B,
+                                    primitive_only=primitive_only)
+        assert {D for D, _ in seen} == set(range(1, int(B**0.5) + 1))
+        for D, H in seen:
+            index = eis._image_index(H)
+            assert (index == D).all()
+            assert np.array_equal(
+                (index * index).astype(float),
+                eis._reduced_det(H, base_majorant(space)))
+
+
+def test_base_path_neither_deduplicates_nor_reduces(sp_a2, sp_e8,
+                                                    monkeypatch):
+    def refuse(*args):
+        raise AssertionError("called on the base path")
+
+    monkeypatch.setattr(eis, "_distinct", refuse)
+    monkeypatch.setattr(eis, "_reduced_det", refuse)
+    for space, B in [(sp_a2, 100.0), (sp_e8, 5.0)]:
+        for primitive_only in (True, False):
+            got = enumerate_isotropic_classes(space, base_majorant(space),
+                                              B, primitive_only=primitive_only)
+            assert len(got) > 0
+
+
+def test_transport_does_not_deduplicate(sp_a2, monkeypatch):
+    # g is a bijection on classes: the moved list is ordered, and each
+    # class's detR is reduced once
+    base = enumerate_isotropic_classes(sp_a2, base_majorant(sp_a2), 20.0)
+    g, R = _moved_majorant(sp_a2, 808)
+    ref = transport_classes(sp_a2, base, g, R)
+
+    def refuse(*args):
+        raise AssertionError("transport deduplicated")
+
+    monkeypatch.setattr(eis, "_distinct", refuse)
+    got = transport_classes(sp_a2, base, g, R)
+    assert np.array_equal(got.ells, ref.ells)
+    assert got.detR.tobytes() == ref.detR.tobytes()
+
+
+def test_empty_lists_keep_their_shape(sp_a2):
+    R0 = base_majorant(sp_a2)
+    empty = enumerate_isotropic_classes(sp_a2, R0, 0.5)
+    assert empty.ells.shape == (0, 6, 2) and empty.detR.shape == (0,)
+    g, R = _moved_majorant(sp_a2, 808)
+    moved = transport_classes(sp_a2, empty, g, R)
+    assert moved.ells.shape == (0, 6, 2) and moved.detR.shape == (0,)
+    finished = eis._base_class_list(np.zeros((0, 6, 2), dtype=np.int64))
+    assert finished.ells.shape == (0, 6, 2) and len(finished) == 0
+    assert lex_order([np.zeros(0, dtype=np.int64)] * 3).shape == (0,)
+
+
+# ----------------------------------------------------- the packed order
+
+def _lex_cases():
+    rng = np.random.default_rng(21)
+    small = rng.integers(-15, 16, size=(3000, 25))
+    ties = rng.integers(-1, 2, size=(3000, 9))  # many equal rows
+    # spans of exactly 2^21 - 1, three to a 63-bit word, then one of 2^21,
+    # which needs a 22nd bit; and one key spanning exactly INT64_MAX
+    edge = np.column_stack([rng.integers(0, 2**21, size=3000)
+                            for _ in range(6)])
+    edge[:2, :] = [[0] * 6, [2**21 - 1] * 6]
+    wide = rng.integers(-2**20, 2**20 + 1, size=(3000, 1))
+    wide[:2, 0] = [-2**20, 2**20]
+    full = rng.integers(-2**63, 0, size=(3000, 1))
+    full[:2, 0] = [-2**63, -1]
+    edge = np.hstack([edge, wide, full, edge[:, :2]])
+    near = rng.integers(-3, 4, size=(3000, 5)) + 2**62  # a span of 6
+    past = rng.integers(-1, 2, size=(3000, 5)) * (2**62 + 7)  # 2^63 + 14
+    pyints = rng.integers(-5, 6, size=(3000, 4)).astype(object) * 2**70
+    return {"negative": (small, True), "ties": (ties, True),
+            "bit boundary": (edge, True), "near 2^62": (near, True),
+            "past the span bound": (past, False),
+            "python ints": (pyints, False)}
+
+
+@pytest.mark.parametrize("case", list(_lex_cases()))
+def test_lex_order_matches_lexsort(case, monkeypatch):
+    X, packs = _lex_cases()[case]
+    # a leading key, as the base order and half_ball use it
+    lead = np.abs(X[:, 0] % 7 - 3)
+    want = np.lexsort(X.T[::-1])
+    want_lead = np.lexsort((*X.T[::-1], lead))
+    # the keys each lexsort call gets: fewer than given when packed
+    real, calls = np.lexsort, []
+    monkeypatch.setattr(np, "lexsort",
+                        lambda keys: calls.append(len(keys)) or real(keys))
+    assert np.array_equal(lex_order(X.T), want)
+    assert np.array_equal(lex_order(list(X.T)), want)
+    assert np.array_equal(lex_order([lead, *X.T]), want_lead)
+    if packs:
+        assert all(n < X.shape[1] for n in calls)
+    else:
+        assert calls == [X.shape[1]] * 2 + [X.shape[1] + 1]

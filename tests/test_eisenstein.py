@@ -239,6 +239,28 @@ def test_base_path_refuses_inside_its_feasibility_scan(sp_e8, monkeypatch):
         assert time.perf_counter() - t0 < 1.0
 
 
+def test_feasibility_scan_runs_no_determinant(sp_a2, monkeypatch):
+    # det S is the last leading minor validate_gram already computed; the
+    # A2 B = 1e4 scan makes 40806 volume estimates and runs no Bareiss
+    # elimination, and refuses as it did when it ran one per estimate
+    import orthokleis.eisenstein as eis
+    import orthokleis.intmat as intmat
+    import orthokleis.lattice as lattice
+
+    calls = []
+    for module in (intmat, lattice, eis):
+        real = module.bareiss_det
+        monkeypatch.setattr(module, "bareiss_det",
+                            lambda M, real=real: calls.append(M) or real(M))
+    with pytest.raises(BudgetExceeded) as refusal:
+        enumerate_isotropic_classes(sp_a2, base_majorant(sp_a2), 1e4)
+    assert str(refusal.value) == (
+        "estimated candidate pair count 2.44e+07 over image indices up to "
+        "27 exceeds the enumeration cap")
+    assert (refusal.value.count, refusal.value.cap) == (24449181, 8_000_000)
+    assert calls == []
+
+
 def test_non_finite_bound_refused(sp_a2):
     R = base_majorant(sp_a2)
     for B in (math.inf, math.nan, 0.0, -1.0):

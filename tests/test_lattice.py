@@ -58,6 +58,17 @@ def test_e8_accepted_det_one():
     assert E8.det == 1
 
 
+def test_det_is_stored_and_lattices_stay_hashable():
+    # det is a field set once by validate_gram, a function of S like the
+    # level: equal Gram matrices give equal, equally hashed lattices
+    for L in (A1, A2, D4, E8):
+        again = validate_gram(np.array(L.S))
+        assert again == L and hash(again) == hash(L)
+        assert L.det == bareiss_det(L.gram())
+    assert A2.det == 3 and D4.det == 4
+    assert len({A2, validate_gram(CATALOG["A2"]), D4}) == 2
+
+
 def test_rank_one_even_accepted():
     L = validate_gram([[2]])
     assert L.n == 1 and L.det == 2

@@ -14,6 +14,7 @@ from orthokleis.errors import (
 )
 from orthokleis.eisenstein import enumerate_isotropic_classes
 from orthokleis.exppoly import ExpPoly, PiPoly
+from orthokleis.intmat import minors_gcd, row_hnf_transform
 from orthokleis.lattice import load_gram
 from orthokleis.majorant import base_majorant
 from orthokleis.orthogroup import space_for
@@ -512,6 +513,27 @@ class TestStructurePolynomial:
 
 # -------------------------------------------------- degenerate series
 
+def _coprime_symmetric(C, D) -> bool:
+    """Single-pair reference form of the test siegel_coset_reps runs in
+    batches."""
+    CDt = [
+        [sum(C[i][k] * D[j][k] for k in range(2)) for j in range(2)]
+        for i in range(2)
+    ]
+    if CDt[0][1] != CDt[1][0]:
+        return False
+    stacked = [list(C[0]) + list(D[0]), list(C[1]) + list(D[1])]
+    return minors_gcd(stacked, 2) == 1
+
+
+def _canonical_pair(C, D):
+    """Single-pair reference form of the canonical key siegel_coset_reps
+    and translate_coset_classes compute in batches."""
+    stacked = [list(C[0]) + list(D[0]), list(C[1]) + list(D[1])]
+    H, _ = row_hnf_transform(stacked)
+    return tuple(tuple(row) for row in H)
+
+
 class TestCosetClasses:
     def test_frozen_count_b1(self):
         reps = siegel_coset_reps(1)
@@ -524,7 +546,6 @@ class TestCosetClasses:
         assert len(siegel_coset_reps(2)) == 1108
 
     def test_reps_are_valid_and_canonical(self):
-        from orthokleis.siegelops import _canonical_pair, _coprime_symmetric
         reps = siegel_coset_reps(1)
         for C, D in reps:
             assert _coprime_symmetric(C, D)
@@ -535,7 +556,6 @@ class TestCosetClasses:
     def test_canonical_is_unimodular_invariant(self):
         """Left multiplication by random GL2(Z) elements never changes the
         canonical form, so distinct canonicals are distinct classes."""
-        from orthokleis.siegelops import _canonical_pair
         reps = siegel_coset_reps(1)
         rng = np.random.default_rng(13)
         gens = [np.array([[1, 1], [0, 1]]), np.array([[1, 0], [1, 1]]),
